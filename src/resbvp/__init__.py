@@ -37,7 +37,6 @@ from .linops import (
     PenroseCheck,
     PinvResult,
     check_penrose,
-    kernel_basis,
     load_matrix_csv,
     operator_norm,
     pinv,
@@ -75,6 +74,7 @@ from .solver import (
     SolveReport,
     apply_rhs,
     apriori_bound,
+    eval_rhs,
     fixed_point_map,
     residuals,
     solve,

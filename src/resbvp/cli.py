@@ -131,7 +131,14 @@ def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside of any section")
             key, _, value = line.partition("=")
-            sections[current][key.strip()] = (value.strip(), lineno)
+            key = key.strip()
+            if key in sections[current]:
+                first = sections[current][key][1]
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate key {key!r} in section [{current}] "
+                    f"(first set on line {first})"
+                )
+            sections[current][key] = (value.strip(), lineno)
     return sections
 
 

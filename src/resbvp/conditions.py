@@ -18,7 +18,7 @@ import numpy as np
 from .fracops import GridFn, Order, cumulative_integral, gamma
 from .linops import operator_norm
 from .resonance import DomainElement, ProblemSpec, ResonanceData, boundary_functional
-from .solver import apply_rhs
+from .solver import apply_rhs, eval_rhs
 
 __all__ = [
     "GrowthSpec",
@@ -155,7 +155,8 @@ def check_growth_bound(
     """Sample (t, u, v) and test || f(t,u,v) || against the envelope.
 
     t is uniform on [0,1]; u and v have uniform random directions with
-    norms log-uniform in [1e-3, 1e3].
+    norms log-uniform in [1e-3, 1e3].  An rhs value of the wrong shape or
+    with non-finite entries raises ``RhsEvaluationError``.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -168,7 +169,7 @@ def check_growth_bound(
         t = float(rng.uniform())
         u = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
         v = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
-        fv = np.asarray(spec.rhs(t, u, v), dtype=float)
+        fv = eval_rhs(spec, t, u, v)
         slack = growth.envelope(t, float(np.linalg.norm(u)), float(np.linalg.norm(v))) - float(
             np.linalg.norm(fv)
         )
@@ -328,8 +329,7 @@ def probe_kernel_sign(
         e = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
         x = DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim))
         w = apply_rhs(spec, x)
-        qcoef = rdata.proj_scale * (rdata.offrange_proj @ boundary_functional(w, spec))
-        inner = float(e @ rdata.kernel_lift(qcoef))
+        inner = float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w, spec))))
         lo = min(lo, inner)
         hi = max(hi, inner)
     return KernelSignProbe(

@@ -139,11 +139,6 @@ class GridFn:
     def zeros(cls, n_intervals: int, dim: int) -> "GridFn":
         return cls(np.zeros((n_intervals + 1, dim)))
 
-    @classmethod
-    def from_callable(cls, fn, n_intervals: int) -> "GridFn":
-        t = np.linspace(0.0, 1.0, n_intervals + 1)
-        return cls(np.array([np.atleast_1d(fn(tj)) for tj in t], dtype=float))
-
 
 @dataclass(frozen=True)
 class PowerFn:

@@ -15,20 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fracops import _freeze
+
 __all__ = [
-    "LinOp",
     "PinvResult",
     "PenroseCheck",
     "pinv",
     "check_penrose",
     "operator_norm",
-    "kernel_basis",
     "load_matrix_csv",
     "save_matrix_csv",
 ]
-
-# Dense real matrix; an alias rather than a wrapper to keep call sites plain.
-LinOp = np.ndarray
 
 
 def _check_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -40,18 +37,14 @@ def _check_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class PinvResult:
-    """Moore-Penrose pseudoinverse with its two orthogonal projectors.
+    """Moore-Penrose pseudoinverse, its projectors and null spaces, from one SVD.
 
-    ``range_proj`` = M M^+ projects onto the range of M,
-    ``corange_proj`` = M^+ M projects onto the range of M^T.
+    With M = U S V^T and r = ``rank``: ``range_proj`` = M M^+ projects
+    onto the range of M, ``corange_proj`` = M^+ M onto the range of M^T;
+    ``kernel`` = V[:, r:] and ``cokernel`` = U[:, r:] are orthonormal
+    bases of ker M and ker M^T.
     """
 
     pinv: np.ndarray
@@ -60,17 +53,20 @@ class PinvResult:
     range_proj: np.ndarray
     corange_proj: np.ndarray
     singular_values: np.ndarray
+    kernel: np.ndarray
+    cokernel: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("pinv", "range_proj", "corange_proj", "singular_values"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("pinv", "range_proj", "corange_proj", "singular_values", "kernel", "cokernel"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def pinv(m: LinOp, tol: float = 0.0) -> PinvResult:
+def pinv(m: np.ndarray, tol: float = 0.0) -> PinvResult:
     """Pseudoinverse via SVD, zeroing singular values at or below tol.
 
     tol = 0 selects the standard rank-revealing default
-    eps * max(n_rows, n_cols) * sigma_max.
+    eps * max(n_rows, n_cols) * sigma_max.  The full SVD also yields the
+    null-space bases, n_cols - rank and n_rows - rank columns wide.
     """
     a = _check_matrix(m)
     if tol < 0:
@@ -89,6 +85,8 @@ def pinv(m: LinOp, tol: float = 0.0) -> PinvResult:
         range_proj=ur @ ur.T,
         corange_proj=vr @ vr.T,
         singular_values=s,
+        kernel=vt[rank:].T.copy(),
+        cokernel=u[:, rank:],
     )
 
 
@@ -111,7 +109,7 @@ class PenroseCheck:
         return all(r <= self.tol for r in self.residuals)
 
 
-def check_penrose(m: LinOp, x: LinOp, tol: float) -> PenroseCheck:
+def check_penrose(m: np.ndarray, x: np.ndarray, tol: float) -> PenroseCheck:
     """Evaluate || XMX - X ||, || MXM - M ||, || (MX)^T - MX ||, || (XM)^T - XM ||."""
     a = _check_matrix(m, "m")
     b = _check_matrix(x, "x")
@@ -128,59 +126,44 @@ def check_penrose(m: LinOp, x: LinOp, tol: float) -> PenroseCheck:
     )
 
 
-def operator_norm(m: LinOp) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     a = _check_matrix(m)
     return float(np.linalg.norm(a, 2))
 
 
-def kernel_basis(m: LinOp, tol: float = 0.0) -> np.ndarray:
-    """Orthonormal columns spanning the null space of m.
-
-    The column count is always n_cols - rank at the tolerance used.
-    """
-    a = _check_matrix(m)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    _, s, vt = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    tol_used = tol if tol > 0 else np.finfo(float).eps * max(a.shape) * smax
-    rank = int(np.sum(s > tol_used))
-    # vt has min(n_rows, n_cols) rows; wide matrices need the full basis.
-    if vt.shape[0] < a.shape[1]:
-        _, _, vt = np.linalg.svd(a, full_matrices=True)
-    return vt[rank:].T.copy()
-
-
 def load_matrix_csv(path) -> np.ndarray:
     """Read a matrix from plain-text CSV with a "rows,cols" header line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        # (file line number, text) of the non-blank lines
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    head = lines[0].split(",")
+    head_no, head_text = lines[0]
+    head = head_text.split(",")
     if len(head) != 2:
-        raise ValueError(f"{path}:1: header must be 'rows,cols'")
+        raise ValueError(f"{path}:{head_no}: header must be 'rows,cols'")
     try:
         rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise ValueError(f"{path}:1: header must be 'rows,cols'") from exc
+        raise ValueError(f"{path}:{head_no}: header must be 'rows,cols'") from exc
     if len(lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
     data = np.empty((rows, cols))
-    for i, ln in enumerate(lines[1:], start=2):
+    for row, (i, ln) in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != cols:
             raise ValueError(f"{path}:{i}: expected {cols} entries, found {len(parts)}")
         try:
-            data[i - 2] = [float(p) for p in parts]
+            data[row] = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: non-numeric entry") from exc
-    return _check_matrix(data, f"{path}")
+        if not np.all(np.isfinite(data[row])):
+            raise ValueError(f"{path}:{i}: non-finite entry")
+    return data
 
 
-def save_matrix_csv(path, m: LinOp) -> None:
+def save_matrix_csv(path, m: np.ndarray) -> None:
     """Write a matrix in the same header + row-major CSV format."""
     a = _check_matrix(m)
     with open(path, "w", encoding="utf-8") as fh:

@@ -46,13 +46,14 @@ from .fracops import (
     GridFn,
     Order,
     PowerFn,
+    _freeze,
     cumulative_integral,
     frac_derivative,
     frac_integral,
     gamma,
     power_rule,
 )
-from .linops import kernel_basis, operator_norm, pinv
+from .linops import pinv
 
 __all__ = [
     "NonResonantError",
@@ -76,12 +77,6 @@ RhsCallback = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 class NonResonantError(ValueError):
     """The resonance matrix is invertible; the splitting scheme does not apply."""
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ class ProblemSpec:
             raise ValueError(
                 f"xi = {self.xi} does not lie on the grid with N = {self.grid_n}"
             )
-        object.__setattr__(self, "a_op", _frozen(a))
+        object.__setattr__(self, "a_op", _freeze(a))
 
     @property
     def dim(self) -> int:
@@ -128,12 +123,13 @@ class ProblemSpec:
 class ResonanceData:
     """Pseudoinverse splitting of the resonance matrix.
 
-    ``kernel`` and ``cokernel`` are orthonormal bases of ker(matrix) and
-    ker(matrix^T); the cokernel basis is rotated (orthogonal Procrustes)
-    to line up with the kernel basis, so ``kernel_map`` - the isomorphism
-    carrying obstruction coordinates to kernel coordinates - is the
-    identity matrix.  ``ep_defect`` measures how much of the kernel lies
-    inside the range; the two bases coincide exactly when it vanishes,
+    ``kernel`` K is an orthonormal basis of ker(matrix).  ``lift`` is the
+    map J = K C^T carrying obstruction vectors (in ker(matrix^T)) to
+    kernel vectors, where C is the orthonormal cokernel basis rotated
+    (orthogonal Procrustes) to line up with K, so J is an isometry from
+    the cokernel onto the kernel.  ``ep_defect`` measures how much of the
+    kernel lies inside the range; the kernel and cokernel coincide, and J
+    is the orthogonal projector onto them, exactly when it vanishes,
     which is the regime where the splitting is a genuine direct sum.
     ``proj_scale`` is the idempotency-pinned coefficient of the
     obstruction projection.
@@ -145,16 +141,15 @@ class ResonanceData:
     range_proj: np.ndarray
     corange_proj: np.ndarray
     kernel: np.ndarray
-    cokernel: np.ndarray
+    lift: np.ndarray
     dim_ker: int
-    kernel_map: np.ndarray
     ep_defect: float
     proj_scale: float
     rank_ambiguous: bool
 
     def __post_init__(self) -> None:
-        for name in ("matrix", "pinv", "range_proj", "corange_proj", "kernel", "cokernel", "kernel_map"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("matrix", "pinv", "range_proj", "corange_proj", "kernel", "lift"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -170,10 +165,9 @@ class ResonanceData:
         """I - R^+ R, the orthogonal projector onto the kernel."""
         return np.eye(self.dim) - self.corange_proj
 
-    def kernel_lift(self, coef: np.ndarray) -> np.ndarray:
-        """Map an obstruction vector (in R^n) to its kernel vector via J."""
-        coords = self.cokernel.T @ coef
-        return self.kernel @ (self.kernel_map @ coords)
+    def obstruction(self, h: np.ndarray) -> np.ndarray:
+        """Obstruction coefficient kappa (I - R R^+) h of a boundary-functional value."""
+        return self.proj_scale * (self.offrange_proj @ h)
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ class DomainElement:
             raise ValueError(
                 f"coefficient dim {c.shape[0]} != source dim {self.source.dim}"
             )
-        object.__setattr__(self, "coef", _frozen(c))
+        object.__setattr__(self, "coef", _freeze(c))
 
     @classmethod
     def zero(cls, n_intervals: int, dim: int) -> "DomainElement":
@@ -237,16 +231,13 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
             RuntimeWarning,
             stacklevel=2,
         )
-    ker = kernel_basis(r, tol)
-    coker = kernel_basis(r.T, tol)
-    if coker.shape[1] != dim_ker:
-        raise ValueError("kernel and cokernel dimensions disagree")
-    # Procrustes alignment: closest orthogonal rotation of the cokernel
-    # basis onto the kernel basis, so the coordinate map J is the identity
-    # (and exactly so when the two subspaces coincide).
+    ker, coker = pr.kernel, pr.cokernel
+    # Procrustes alignment: rotate the cokernel basis C to the one closest
+    # to the kernel basis K, so J = K C^T pairs each cokernel direction
+    # with its nearest kernel direction (J = K K^T when they coincide).
     u, _, vt = np.linalg.svd(coker.T @ ker)
     coker = coker @ (u @ vt)
-    ep_defect = float(np.linalg.norm(pr.range_proj @ ker, 2)) if dim_ker else 0.0
+    ep_defect = float(np.linalg.norm(pr.range_proj @ ker, 2))
     alpha = spec.ord.alpha
     scale = gamma(2.0 * alpha) / (gamma(alpha) * (spec.xi**alpha - 1.0))
     return ResonanceData(
@@ -256,9 +247,8 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
         range_proj=pr.range_proj,
         corange_proj=pr.corange_proj,
         kernel=ker,
-        cokernel=coker,
+        lift=ker @ coker.T,
         dim_ker=dim_ker,
-        kernel_map=np.eye(dim_ker),
         ep_defect=ep_defect,
         proj_scale=scale,
         rank_ambiguous=ambiguous,
@@ -305,8 +295,7 @@ def project_obstruction(y: GridFn | PowerFn, spec: ProblemSpec, rdata: Resonance
         hy = boundary_functional_power(y, spec)
     else:
         hy = boundary_functional(y, spec)
-    coef = rdata.proj_scale * (rdata.offrange_proj @ hy)
-    return PowerFn(coef, spec.ord.alpha_m1)
+    return PowerFn(rdata.obstruction(hy), spec.ord.alpha_m1)
 
 
 def project_kernel(x: DomainElement, rdata: ResonanceData) -> DomainElement:
@@ -407,8 +396,7 @@ def verify_structure(
         # power part stays on the exact route so the projection of the
         # pair is evaluated without quadrature error.
         h_member = boundary_functional(y, spec) - boundary_functional_power(q, spec)
-        q_member = rdata.proj_scale * (offr @ h_member)
-        on_image = max(on_image, float(np.linalg.norm(q_member)))
+        on_image = max(on_image, float(np.linalg.norm(rdata.obstruction(h_member))))
         # Derivative round trip on the grid realization of the member.
         # The power part of the partial inverse differentiates to zero
         # exactly, so only the I^alpha part is re-differentiated.

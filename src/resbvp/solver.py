@@ -41,6 +41,7 @@ __all__ = [
     "SolveOptions",
     "ResidualBlock",
     "SolveReport",
+    "eval_rhs",
     "apply_rhs",
     "fixed_point_map",
     "solve",
@@ -52,7 +53,7 @@ _DIVERGENCE_LIMIT = 1e8
 
 
 class RhsEvaluationError(RuntimeError):
-    """The right-hand side returned a non-finite value at some node."""
+    """The right-hand side returned a wrongly shaped or non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -115,25 +116,35 @@ class SolveReport:
     residuals: ResidualBlock
 
 
+def eval_rhs(
+    spec: ProblemSpec, t: float, u: np.ndarray, v: np.ndarray, node: int | None = None
+) -> np.ndarray:
+    """f(t, u, v) as a finite n-vector.
+
+    Any other return raises ``RhsEvaluationError`` naming t and, when
+    given, the grid node.
+    """
+    f = np.asarray(spec.rhs(t, u, v), dtype=float)
+    if f.shape == (spec.dim,) and np.all(np.isfinite(f)):
+        return f
+    at = f"t = {t:g}" if node is None else f"node {node} (t = {t:g})"
+    if f.shape != (spec.dim,):
+        raise RhsEvaluationError(f"rhs returned shape {f.shape}, expected ({spec.dim},) at {at}")
+    raise RhsEvaluationError(f"rhs returned non-finite values at {at}")
+
+
 def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
     """Evaluate f(t_j, x(t_j), D^(alpha-1) x(t_j)) at every node.
 
     x and its trace come from the exact representation; only f itself is
-    sampled.  A non-finite return raises with the offending node index.
+    sampled.  A bad return raises with the offending node index.
     """
     xv = evaluate(x, spec.ord).values
     tv = derivative_trace(x, spec.ord).values
     t = x.source.nodes
     out = np.empty_like(xv)
     for j in range(t.shape[0]):
-        fj = np.asarray(spec.rhs(t[j], xv[j], tv[j]), dtype=float)
-        if fj.shape != (spec.dim,):
-            raise RhsEvaluationError(
-                f"rhs returned shape {fj.shape}, expected ({spec.dim},) at node {j}"
-            )
-        if not np.all(np.isfinite(fj)):
-            raise RhsEvaluationError(f"rhs returned non-finite values at node {j} (t = {t[j]:g})")
-        out[j] = fj
+        out[j] = eval_rhs(spec, t[j], xv[j], tv[j], j)
     return GridFn(out)
 
 
@@ -147,9 +158,9 @@ def fixed_point_map(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -
     """
     w = apply_rhs(spec, x)
     hw = boundary_functional(w, spec)
-    q = PowerFn(rdata.proj_scale * (rdata.offrange_proj @ hw), spec.ord.alpha_m1)
+    q = PowerFn(rdata.obstruction(hw), spec.ord.alpha_m1)
     h_solvable = hw - boundary_functional_power(q, spec)
-    coef = rdata.kernel_proj @ x.coef + rdata.kernel_lift(q.coef) + rdata.pinv @ h_solvable
+    coef = rdata.kernel_proj @ x.coef + rdata.lift @ q.coef + rdata.pinv @ h_solvable
     source = GridFn(w.values - q.sample(w.nodes))
     return DomainElement(coef, source)
 

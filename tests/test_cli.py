@@ -190,6 +190,27 @@ class TestExitCodes:
         code = run_cli(["solve", "--builtin", "nope", "--out", str(tmp_path / "r")])
         assert code == 3
 
+    def test_duplicate_key_exits_three_with_line(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[problem]\ngrid_n = 64\ngrid_n = 128\n[operator]\nbuiltin = section4\n"
+        )
+        out = tmp_path / "r"
+        code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "p.cfg:3: duplicate key 'grid_n'" in (out / "report.txt").read_text()
+
+    def test_non_finite_matrix_entry_exits_three_with_line(self, tmp_path):
+        (tmp_path / "a.csv").write_text("2,2\n1,0\n0,nan\n")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 64\n[operator]\ncsv = a.csv\n"
+        )
+        out = tmp_path / "r"
+        code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "a.csv:3: non-finite entry" in (out / "report.txt").read_text()
+
     def test_missing_source_exits_three(self, tmp_path):
         code = run_cli(["analyze", "--out", str(tmp_path / "r")])
         assert code == 3

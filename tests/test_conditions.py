@@ -6,6 +6,7 @@ import pytest
 from resbvp import (
     Order,
     ProblemSpec,
+    RhsEvaluationError,
     build_resonance,
     build_section4,
     check_growth_bound,
@@ -109,6 +110,20 @@ class TestGrowthBound:
         rep = check_growth_bound(spec, section4_growth(radius=1.0), 5000, seed=1)
         assert rep.ok
 
+    def test_nan_rhs_raises(self):
+        spec = ProblemSpec(
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.full(3, np.nan), 64
+        )
+        with pytest.raises(RhsEvaluationError, match="non-finite"):
+            check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
+
+    def test_wrong_shape_rhs_raises(self):
+        spec = ProblemSpec(
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(2), 64
+        )
+        with pytest.raises(RhsEvaluationError, match=r"shape \(2,\), expected \(3,\)"):
+            check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
+
     def test_deterministic_under_seed(self, sec4_spec):
         g = section4_growth()
         r1 = check_growth_bound(sec4_spec, g, 500, seed=3)
@@ -178,7 +193,7 @@ class TestKernelSignProbe:
             q = sec4_rdata.proj_scale * (
                 sec4_rdata.offrange_proj @ boundary_functional(w, spec)
             )
-            inners.append(float(e @ sec4_rdata.kernel_lift(q)))
+            inners.append(float(e @ (sec4_rdata.lift @ q)))
         assert inners[1] == pytest.approx(4.0 * inners[0], rel=1e-9)
 
     def test_multi_block_positive(self):

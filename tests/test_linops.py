@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resbvp import check_penrose, kernel_basis, load_matrix_csv, operator_norm, pinv, save_matrix_csv
+from resbvp import check_penrose, load_matrix_csv, operator_norm, pinv, save_matrix_csv
 
 
 def random_matrix_with_rank(rng, rows, cols, rank):
@@ -121,19 +121,19 @@ class TestOperatorNorm:
 
 class TestKernelBasis:
     def test_block_kernel_direction(self):
-        k = kernel_basis(np.diag([0.25, 0.125, 0.0]))
+        k = pinv(np.diag([0.25, 0.125, 0.0])).kernel
         assert k.shape == (3, 1)
         np.testing.assert_allclose(np.abs(k[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_identity_empty(self):
-        assert kernel_basis(np.eye(3)).shape == (3, 0)
+        assert pinv(np.eye(3)).kernel.shape == (3, 0)
 
     def test_rank_one_outer_product(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
         m = np.outer(a, b)
-        k = kernel_basis(m)
+        k = pinv(m).kernel
         assert k.shape == (3, 2)
         np.testing.assert_allclose(k.T @ k, np.eye(2), atol=1e-12)
         assert np.abs(m @ k).max() <= 1e-12 * np.abs(m).max()
@@ -141,7 +141,7 @@ class TestKernelBasis:
     def test_wide_matrix_full_kernel_count(self):
         rng = np.random.default_rng(7)
         m = random_matrix_with_rank(rng, 2, 5, 2)
-        k = kernel_basis(m)
+        k = pinv(m).kernel
         assert k.shape == (5, 3)
         assert np.abs(m @ k).max() <= 1e-10
 
@@ -151,7 +151,24 @@ class TestKernelBasis:
         rng = np.random.default_rng(abs(seed) % 2**32)
         rank = min(rank_raw, n)
         m = random_matrix_with_rank(rng, n, n, rank)
-        assert kernel_basis(m).shape[1] + pinv(m).rank == n
+        assert pinv(m).kernel.shape[1] + pinv(m).rank == n
+
+    @pytest.mark.parametrize("rows, cols, rank", [(4, 4, 2), (6, 3, 2), (3, 6, 1), (5, 2, 2)])
+    def test_null_spaces_of_m_and_transpose(self, rows, cols, rank):
+        # kernel spans ker M and cokernel spans ker M^T, both orthonormal,
+        # for square, tall and wide matrices.
+        m = random_matrix_with_rank(np.random.default_rng(rows * 10 + cols), rows, cols, rank)
+        res = pinv(m)
+        k, c = res.kernel, res.cokernel
+        assert k.shape == (cols, cols - rank)
+        assert c.shape == (rows, rows - rank)
+        np.testing.assert_allclose(k.T @ k, np.eye(cols - rank), atol=1e-12)
+        np.testing.assert_allclose(c.T @ c, np.eye(rows - rank), atol=1e-12)
+        assert np.abs(m @ k).max(initial=0.0) <= 1e-12
+        assert np.abs(m.T @ c).max(initial=0.0) <= 1e-12
+        # The null spaces complete the ranges: I - M^+ M = K K^T, I - M M^+ = C C^T.
+        np.testing.assert_allclose(np.eye(cols) - res.corange_proj, k @ k.T, atol=1e-12)
+        np.testing.assert_allclose(np.eye(rows) - res.range_proj, c @ c.T, atol=1e-12)
 
 
 class TestMatrixCsv:
@@ -176,6 +193,13 @@ class TestMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,2\n1,0\n0,x\n")
         with pytest.raises(ValueError, match=":3"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_reports_line(self, tmp_path, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"2,2\n1,0\n\n0,{entry}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: non-finite entry"):
             load_matrix_csv(path)
 
     def test_row_count_mismatch(self, tmp_path):

@@ -297,3 +297,16 @@ class TestAlgebraicIdentity:
             lhs = rd.offrange_proj @ (spec.xi ** (2 * spec.ord.alpha - 1) * spec.a_op - np.eye(n))
             rhs = (spec.xi**spec.ord.alpha - 1.0) * rd.offrange_proj
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-13
+
+    def test_lift_maps_cokernel_onto_kernel(self):
+        # J = K C^T reads only the cokernel and lands in the kernel, and
+        # is an isometry between the two.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            dk = int(rng.integers(1, n))
+            rd = build_resonance(make_resonant_spec(rng, n, dk), tol=1e-8)
+            j = rd.lift
+            assert np.abs(j @ rd.offrange_proj - j).max() <= 1e-14
+            assert np.abs(rd.kernel_proj @ j - j).max() <= 1e-14
+            np.testing.assert_allclose(j.T @ j, rd.offrange_proj, atol=1e-14)

@@ -209,6 +209,11 @@ class TestResiduals:
         assert report.residuals.solvability_defect <= 1e-6
         assert report.residuals.bc_consistency <= 1e-12
 
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_report_residuals_belong_to_returned_element(self, sec4_spec, sec4_rdata, max_iter):
+        report = solve(sec4_spec, sec4_rdata, SolveOptions(max_iter=max_iter))
+        assert report.residuals == residuals(sec4_spec, sec4_rdata, report.element)
+
 
 class TestAprioriBound:
     def test_linear_case_closed_form(self):
