@@ -43,6 +43,7 @@ import numpy as np
 from .conditions import (
     ConditionsReport,
     GrowthSpec,
+    MarginsReport,
     check_all,
     check_growth_margins,
     constant_growth,
@@ -65,11 +66,11 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 _COMMANDS = ("analyze", "solve", "check-hypotheses", "verify-example")
 
-_G_PROFILES: dict[str, Callable[[float], float]] = {
-    "zero": lambda t: 0.0,
-    "one": lambda t: 1.0,
+_G_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "zero": np.zeros_like,
+    "one": np.ones_like,
     "t": lambda t: t,
-    "sqrt": lambda t: math.sqrt(t),
+    "sqrt": np.sqrt,
 }
 
 
@@ -142,11 +143,18 @@ def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+_AFFINE_KEYS = {"c_matrix", "d_matrix", "g_profile"}
 _KNOWN_KEYS = {
     "problem": {"alpha", "xi", "grid_n"},
     "operator": {"builtin", "k", "csv"},
-    "rhs": {"builtin", "c_matrix", "d_matrix", "g_profile"},
+    "rhs": {"builtin"} | _AFFINE_KEYS,
 }
+
+
+def _reject_ignored(path: str, name: str, section: dict, keys: set[str], why: str) -> None:
+    for key, (_, lineno) in section.items():
+        if key in keys:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} in section [{name}] is ignored {why}")
 
 
 def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
@@ -189,6 +197,13 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
         if op_builtin not in BUILTINS:
             lineno = operator["builtin"][1]
             raise ConfigError(f"{path}:{lineno}: unknown builtin {op_builtin!r}")
+        why = f"beside [operator] builtin = {op_builtin}"
+        _reject_ignored(path, "operator", operator, {"csv"}, why)
+        # The builtin operator brings its own rhs; [rhs] may only name it.
+        rhs_keys = set(_AFFINE_KEYS)
+        if rhs_sec.get("builtin", (op_builtin, 0))[0] != op_builtin:
+            rhs_keys.add("builtin")
+        _reject_ignored(path, "rhs", rhs_sec, rhs_keys, why)
         k = ival(operator, "k", 1)
         grid_n = ival(problem, "grid_n", 256)
         alpha = fval(problem, "alpha", 1.5)
@@ -205,6 +220,7 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
 
     if "csv" not in operator:
         raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
+    _reject_ignored(path, "operator", operator, {"k"}, "for a csv operator")
     a_op = load_matrix_csv(Path(base) / operator["csv"][0])
     alpha = fval(problem, "alpha")
     xi = fval(problem, "xi")
@@ -223,6 +239,7 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
         if rhs_builtin not in BUILTINS:
             lineno = rhs_sec["builtin"][1]
             raise ConfigError(f"{path}:{lineno}: unknown rhs builtin {rhs_builtin!r}")
+        _reject_ignored(path, "rhs", rhs_sec, _AFFINE_KEYS, "beside [rhs] builtin")
         rhs = BUILTINS[rhs_builtin].rhs_factory(n)
         growth = BUILTINS[rhs_builtin].growth()
         meta.update(problem="csv+builtin-rhs")
@@ -245,10 +262,9 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
                 f"{path}: unknown g_profile {profile_name!r}; choose from {sorted(_G_PROFILES)}"
             )
         g = _G_PROFILES[profile_name]
-        ones = np.ones(n)
 
-        def rhs(t: float, u: np.ndarray, v: np.ndarray, _c=c_mat, _d=d_mat, _g=g) -> np.ndarray:
-            return _c @ u + _d @ v + _g(t) * ones
+        def rhs(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return u @ c_mat.T + v @ d_mat.T + g(t)[:, None]
 
         # Exact envelope for the affine form: spectral norms and the
         # profile sup (every named profile is bounded by 1 on [0, 1]).
@@ -294,8 +310,7 @@ def _resonance_lines(rdata: ResonanceData) -> list[str]:
     ]
 
 
-def _margins_lines(report: ConditionsReport | None, margins=None) -> list[str]:
-    m = margins if margins is not None else (report.margins if report else None)
+def _margins_lines(m: MarginsReport | None) -> list[str]:
     if m is None:
         return ["== smallness margins ==", "no growth data supplied", ""]
     return [
@@ -327,7 +342,7 @@ def _solve_lines(report: SolveReport) -> list[str]:
 
 
 def _conditions_lines(report: ConditionsReport) -> list[str]:
-    lines = _margins_lines(report)
+    lines = _margins_lines(report.margins)
     lines += ["== sampling probes (evidence, not proof) =="]
     g = report.growth_samples
     if g is not None:
@@ -364,7 +379,7 @@ def _golden_lines(report: Section4Report) -> list[str]:
             f"{_fmt(c.expected)} (residual {_fmt(c.residual)}, tol {_fmt(c.tol)})"
         )
     lines.append("")
-    lines += _margins_lines(None, margins=report.margins)
+    lines += _margins_lines(report.margins)
     lines += [
         "== kernel feedback sign (sampled) ==",
         f"min inner product        : {_fmt(report.sign_min)}",
@@ -438,7 +453,7 @@ def run(cfg: RunConfig) -> int:
             # The margin triple appears whenever growth data exists, on
             # every flow and every outcome.
             if growth is not None and cfg.command != "check-hypotheses":
-                lines += _margins_lines(None, margins=check_growth_margins(spec.ord, rdata, growth))
+                lines += _margins_lines(check_growth_margins(spec.ord, rdata, growth))
             if cfg.command == "analyze":
                 sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
                 lines += [

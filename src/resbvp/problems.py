@@ -32,6 +32,7 @@ from .resonance import (
     DomainElement,
     ProblemSpec,
     ResonanceData,
+    RhsCallback,
     boundary_functional,
     build_resonance,
 )
@@ -57,17 +58,17 @@ BLOCK_DIAGONAL = (1.5, 1.75, 2.0)
 _RECIPROCAL_GUARD = 1e-12
 
 
-def _section4_rhs(n: int) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+def _section4_rhs(n: int) -> RhsCallback:
     inv_scales = np.array([1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, n)])
 
-    def rhs(t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        f = np.empty(n)
-        if np.linalg.norm(v) < 1.0:
-            f[0] = 0.1
-        else:
-            rec = 1.0 / v[0] if abs(v[0]) > _RECIPROCAL_GUARD else 0.0
-            f[0] = (v[0] + rec - 1.0) / 10.0
-        f[1:] = (u[1:] + v[1:]) * inv_scales
+    def rhs(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        v1 = v[:, 0]
+        rec = np.divide(1.0, v1, out=np.zeros_like(v1), where=np.abs(v1) > _RECIPROCAL_GUARD)
+        f = np.empty(u.shape)
+        # Row norms as dot products, bit-equal to np.linalg.norm of one row,
+        # so a row at ||v|| = 1 takes the branch the per-point norm gives it.
+        f[:, 0] = np.where(np.sqrt(np.vecdot(v, v)) < 1.0, 0.1, (v1 + rec - 1.0) / 10.0)
+        f[:, 1:] = (u[:, 1:] + v[:, 1:]) * inv_scales
         return f
 
     return rhs
@@ -279,7 +280,7 @@ class BuiltinProblem:
     name: str
     build: Callable[[int, int], ProblemSpec]
     growth: Callable[[], GrowthSpec]
-    rhs_factory: Callable[[int], Callable]
+    rhs_factory: Callable[[int], RhsCallback]
 
 
 BUILTINS: dict[str, BuiltinProblem] = {

@@ -72,7 +72,7 @@ __all__ = [
     "verify_structure",
 ]
 
-RhsCallback = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+RhsCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class NonResonantError(ValueError):
@@ -83,9 +83,11 @@ class NonResonantError(ValueError):
 class ProblemSpec:
     """A complete finite-truncation problem instance.
 
-    ``rhs(t, u, v)`` implements f(t, x(t), D^(alpha-1) x(t)) and must
-    return a finite n-vector for finite inputs.  ``grid_n`` is the
-    number of uniform subintervals; xi must land on a grid node.
+    ``rhs(t, u, v)`` implements f(t, x(t), D^(alpha-1) x(t)) on a batch
+    of m points at once: t has shape (m,), u and v have shape (m, n) (row
+    j is the point at t[j]), and it must return a finite (m, n) array.
+    ``grid_n`` is the number of uniform subintervals; xi must land on a
+    grid node.
     """
 
     ord: Order

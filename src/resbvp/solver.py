@@ -116,36 +116,32 @@ class SolveReport:
     residuals: ResidualBlock
 
 
-def eval_rhs(
-    spec: ProblemSpec, t: float, u: np.ndarray, v: np.ndarray, node: int | None = None
-) -> np.ndarray:
-    """f(t, u, v) as a finite n-vector.
+def eval_rhs(spec: ProblemSpec, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f on a batch of m points: one ``spec.rhs(t[m], u[m,n], v[m,n])`` call.
 
-    Any other return raises ``RhsEvaluationError`` naming t and, when
-    given, the grid node.
+    The result must have shape exactly ``u.shape``, else
+    ``RhsEvaluationError`` names the expected (m, n); a non-finite entry
+    raises naming its first row as ``node j (t = ...)``.
     """
     f = np.asarray(spec.rhs(t, u, v), dtype=float)
-    if f.shape == (spec.dim,) and np.all(np.isfinite(f)):
-        return f
-    at = f"t = {t:g}" if node is None else f"node {node} (t = {t:g})"
-    if f.shape != (spec.dim,):
-        raise RhsEvaluationError(f"rhs returned shape {f.shape}, expected ({spec.dim},) at {at}")
-    raise RhsEvaluationError(f"rhs returned non-finite values at {at}")
+    if f.shape != u.shape:
+        raise RhsEvaluationError(f"rhs returned shape {f.shape}, expected {u.shape}")
+    finite = np.isfinite(f).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise RhsEvaluationError(f"rhs returned non-finite values at node {j} (t = {t[j]:g})")
+    return f
 
 
 def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
-    """Evaluate f(t_j, x(t_j), D^(alpha-1) x(t_j)) at every node.
+    """Evaluate f(t_j, x(t_j), D^(alpha-1) x(t_j)) at every node in one call.
 
     x and its trace come from the exact representation; only f itself is
     sampled.  A bad return raises with the offending node index.
     """
     xv = evaluate(x, spec.ord).values
     tv = derivative_trace(x, spec.ord).values
-    t = x.source.nodes
-    out = np.empty_like(xv)
-    for j in range(t.shape[0]):
-        out[j] = eval_rhs(spec, t[j], xv[j], tv[j], j)
-    return GridFn(out)
+    return GridFn(eval_rhs(spec, x.source.nodes, xv, tv))
 
 
 def fixed_point_map(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> DomainElement:
@@ -241,17 +237,19 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
     the numerical derivative uses one-sided or near-boundary stencils.
     """
     n = spec.grid_n
-    w = apply_rhs(spec, x)
+    # One I^alpha sweep of the source serves x, h(source) and D^alpha x.
+    ia = frac_integral(x.source, spec.ord.alpha)
+    nodes = x.source.nodes
+    xv = PowerFn(x.coef, spec.ord.alpha_m1).sample(nodes) + ia.values
+    w = eval_rhs(spec, nodes, xv, derivative_trace(x, spec.ord).values)
     # D^alpha x = D^alpha(coef t^(alpha-1)) + D^alpha I^alpha source; the
     # first term vanishes exactly, the second is re-differentiated.
-    ia = frac_integral(x.source, spec.ord.alpha)
     dsource = frac_derivative(ia, spec.ord)
-    pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w.values[2 : n - 1], axis=1)))
-    hy = boundary_functional(x.source, spec)
+    pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w[2 : n - 1], axis=1)))
+    hy = spec.a_op @ ia.values[spec.xi_node] - ia.values[n]
     algebraic = float(np.linalg.norm(rdata.matrix @ x.coef - hy))
-    xv = evaluate(x, spec.ord).values
     direct = float(np.linalg.norm(xv[n] - spec.a_op @ xv[spec.xi_node]))
-    solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
+    solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(GridFn(w), spec)))
     return ResidualBlock(
         pde_residual=pde,
         left_bc_defect=0.0,

@@ -26,7 +26,7 @@ def make_resonant_spec(
     a_op = xi ** (1.0 - alpha) * (np.eye(n) - r_mat)
 
     def rhs(t, u_vec, v_vec):
-        return np.zeros(n)
+        return np.zeros_like(u_vec)
 
     return ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n)
 

@@ -328,7 +328,7 @@ def test_c09_solver_oracle_solvable_forcing(sec4_256):
     gvec = rdata.matrix @ z  # forcing inside the range (diagonal blocks)
 
     def rhs(t, u, v):
-        return gvec * (1.0 + t)
+        return np.outer(1.0 + t, gvec)
 
     spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), rhs, n)
     t_nodes = np.linspace(0.0, 1.0, n + 1)

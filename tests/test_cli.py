@@ -86,8 +86,8 @@ class TestConfigFiles:
         assert spec.grid_n == 64
         assert spec.ord.alpha == 1.5 and spec.xi == 0.25
         assert growth is not None
-        f = spec.rhs(0.0, np.zeros(3), np.zeros(3))
-        assert f[0] == pytest.approx(0.1)
+        f = spec.rhs(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)))
+        assert f[0, 0] == pytest.approx(0.1)
 
     def test_affine_zero_rhs(self, tmp_path):
         mat = tmp_path / "a.csv"
@@ -106,7 +106,7 @@ class TestConfigFiles:
             """,
         )
         spec, growth, _ = parse_config(str(path))
-        assert not spec.rhs(0.3, np.ones(2), np.ones(2)).any()
+        assert not spec.rhs(np.array([0.3]), np.ones((1, 2)), np.ones((1, 2))).any()
         assert growth.l1_lin_u == 0.0
 
     def test_affine_full_form(self, tmp_path):
@@ -132,7 +132,7 @@ class TestConfigFiles:
         u = np.array([1.0, 2.0])
         v = np.array([3.0, 4.0])
         expected = 0.5 * u + 0.25 * v[::-1] + 1.0
-        np.testing.assert_allclose(spec.rhs(0.2, u, v), expected)
+        np.testing.assert_allclose(spec.rhs(np.array([0.2]), u[None], v[None]), [expected])
         assert growth.l1_lin_u == pytest.approx(0.5)
         assert growth.l1_lin_v == pytest.approx(0.25)
 
@@ -210,6 +210,42 @@ class TestExitCodes:
         code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert "a.csv:3: non-finite entry" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("[operator]\nbuiltin = section4\ncsv = a.csv\n", 3, "csv"),
+            (
+                "[operator]\nbuiltin = section4\n[rhs]\nc_matrix = a.csv\ng_profile = one\n",
+                4,
+                "c_matrix",
+            ),
+            ("[operator]\nbuiltin = section4\n[rhs]\nbuiltin = other\n", 4, "builtin"),
+            ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\nk = 2\n", 6, "k"),
+            (
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n"
+                "[rhs]\nbuiltin = section4\nd_matrix = a.csv\n",
+                8,
+                "d_matrix",
+            ),
+        ],
+        ids=["csv-beside-builtin", "affine-beside-builtin-operator", "other-rhs-builtin",
+             "k-for-csv", "affine-beside-rhs-builtin"],
+    )
+    def test_ignored_key_exits_three_with_line(self, tmp_path, text, line, key):
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert f"p.cfg:{line}: key {key!r}" in (out / "report.txt").read_text()
+
+    def test_rhs_builtin_beside_builtin_operator_accepted(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[operator]\nbuiltin = section4\nk = 1\n[rhs]\nbuiltin = section4\n")
+        spec, growth, _ = parse_config(str(cfg))
+        assert spec.dim == 3 and growth is not None
 
     def test_missing_source_exits_three(self, tmp_path):
         code = run_cli(["analyze", "--out", str(tmp_path / "r")])

@@ -58,7 +58,7 @@ class TestGrowthMargins:
         perm = np.arange(6)[::-1]
         a_perm = rd1.matrix[np.ix_(perm, perm)]
         spec = ProblemSpec(
-            Order(1.5), 0.25, 2.0 * (np.eye(6) - a_perm), lambda t, u, v: np.zeros(6), 64
+            Order(1.5), 0.25, 2.0 * (np.eye(6) - a_perm), lambda t, u, v: np.zeros_like(u), 64
         )
         m2 = check_growth_margins(Order(1.5), build_resonance(spec), g)
         assert m1.lhs == m2.lhs
@@ -69,7 +69,7 @@ class TestGrowthMargins:
 class TestGrowthBound:
     def test_zero_rhs_zero_growth(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         rep = check_growth_bound(spec, constant_growth(0.0, 0.0), 500, seed=0)
         assert rep.ok
@@ -77,7 +77,9 @@ class TestGrowthBound:
 
     def test_quadratic_rhs_violates_linear_growth(self):
         def quad(t, u, v):
-            return np.array([np.dot(u, u), 0.0, 0.0])
+            f = np.zeros_like(u)
+            f[:, 0] = np.vecdot(u, u)
+            return f
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), quad, 64)
         rep = check_growth_bound(spec, constant_growth(1.0, 1.0, offset=10.0), 2000, seed=0)
@@ -103,7 +105,7 @@ class TestGrowthBound:
 
         def tail_only(t, u, v):
             f = rhs(t, u, v).copy()
-            f[0] = 0.0
+            f[:, 0] = 0.0
             return f
 
         spec = ProblemSpec(sec4_spec.ord, sec4_spec.xi, sec4_spec.a_op, tail_only, 64)
@@ -112,7 +114,7 @@ class TestGrowthBound:
 
     def test_nan_rhs_raises(self):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.full(3, np.nan), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.full_like(u, np.nan), 64
         )
         with pytest.raises(RhsEvaluationError, match="non-finite"):
             check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
@@ -121,8 +123,19 @@ class TestGrowthBound:
         spec = ProblemSpec(
             Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(2), 64
         )
-        with pytest.raises(RhsEvaluationError, match=r"shape \(2,\), expected \(3,\)"):
+        with pytest.raises(RhsEvaluationError, match=r"shape \(2,\), expected \(10, 3\)"):
             check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
+
+    def test_one_rhs_call_for_all_samples(self):
+        calls = []
+
+        def counting(t, u, v):
+            calls.append((t.shape, u.shape, v.shape))
+            return np.zeros_like(u)
+
+        spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), counting, 64)
+        check_growth_bound(spec, constant_growth(1.0, 1.0), 37, seed=0)
+        assert calls == [((37,), (37, 3), (37, 3))]
 
     def test_deterministic_under_seed(self, sec4_spec):
         g = section4_growth()
@@ -140,7 +153,7 @@ class TestTraceDefectProbe:
 
     def test_zero_rhs_no_evidence(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         probe = probe_large_trace_defect(spec, sec4_rdata, 1.0, 50, seed=0)
         assert probe.min_defect == 0.0
@@ -152,7 +165,7 @@ class TestTraceDefectProbe:
         # the sample.
         gvec = np.array([0.1, -0.2, 0.3])
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: gvec, 128
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u) + gvec, 128
         )
         h = (spec.a_op * 0.25**1.5 - np.eye(3)) @ gvec / gamma(2.5)
         expected = np.linalg.norm(sec4_rdata.offrange_proj @ h)
@@ -174,7 +187,7 @@ class TestKernelSignProbe:
 
     def test_zero_rhs_no_strict_sign(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         probe = probe_kernel_sign(spec, sec4_rdata, 1.0, 20, seed=0)
         assert probe.min_inner == 0.0 and probe.max_inner == 0.0
@@ -205,7 +218,7 @@ class TestKernelSignProbe:
 
     def test_requires_kernel(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         with pytest.raises(ValueError, match="positive"):
             probe_kernel_sign(spec, sec4_rdata, 0.0, 10, seed=0)

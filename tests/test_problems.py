@@ -42,14 +42,14 @@ class TestBuildSection4:
 
     def test_rhs_at_origin(self):
         spec = build_section4(2, 64)
-        f = spec.rhs(0.0, np.zeros(6), np.zeros(6))
-        np.testing.assert_allclose(f, [0.1, 0, 0, 0, 0, 0], atol=1e-15)
+        f = spec.rhs(np.zeros(1), np.zeros((1, 6)), np.zeros((1, 6)))
+        np.testing.assert_allclose(f, [[0.1, 0, 0, 0, 0, 0]], atol=1e-15)
 
     def test_rhs_component_scaling(self):
         spec = build_section4(1, 64)
         u = np.array([0.0, 2.0, 3.0])
         v = np.array([0.0, 4.0, 5.0])  # ||v|| >= 1: switched branch, v1 = 0
-        f = spec.rhs(0.3, u, v)
+        f = spec.rhs(np.array([0.3]), u[None], v[None])[0]
         assert f[0] == pytest.approx(-0.1)  # reciprocal at exact zero contributes 0
         assert f[1] == pytest.approx((2.0 + 4.0) / 20.0)
         assert f[2] == pytest.approx((3.0 + 5.0) / 40.0)
@@ -57,8 +57,40 @@ class TestBuildSection4:
     def test_rhs_reciprocal_branch(self):
         spec = build_section4(1, 64)
         v = np.array([2.0, 0.0, 0.0])
-        f = spec.rhs(0.0, np.zeros(3), v)
+        f = spec.rhs(np.zeros(1), np.zeros((1, 3)), v[None])[0]
         assert f[0] == pytest.approx((2.0 + 0.5 - 1.0) / 10.0)
+
+    def test_batched_rhs_equals_row_by_row_reference(self):
+        # The per-point form of the section4 rhs, applied one row at a time.
+        inv_scales = np.array([1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, 6)])
+
+        def reference(u, v):
+            f = np.empty(6)
+            if np.linalg.norm(v) < 1.0:
+                f[0] = 0.1
+            else:
+                rec = 1.0 / v[0] if abs(v[0]) > 1e-12 else 0.0
+                f[0] = (v[0] + rec - 1.0) / 10.0
+            f[1:] = (u[1:] + v[1:]) * inv_scales
+            return f
+
+        rng = np.random.default_rng(4)
+        rows = []
+        for v1 in (0.0, 1e-13, -1e-13, 1e-11, -1e-11):
+            for a in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
+                rows.append([v1, a, 0.0, 0.0, 0.0, 0.0])
+            # Random direction in the tail, scaled to norm 1 up to rounding.
+            d = rng.standard_normal(5)
+            rows.append([v1, *(d / np.linalg.norm(d))])
+        v = np.array(rows)
+        u = rng.standard_normal(v.shape)
+        t = rng.uniform(size=v.shape[0])
+        f = build_section4(2, 64).rhs(t, u, v)
+        expected = np.array([reference(u[j], v[j]) for j in range(v.shape[0])])
+        np.testing.assert_array_equal(f, expected)
+        # Both branches and both reciprocal cases are exercised.
+        assert (f[:, 0] == 0.1).any() and (f[:, 0] != 0.1).any()
+        assert (np.abs(f[:, 0]) > 1e9).any()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

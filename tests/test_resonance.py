@@ -28,11 +28,8 @@ from conftest import make_resonant_spec
 SQRT_PI = math.sqrt(math.pi)
 
 
-def zero_rhs(n):
-    def rhs(t, u, v):
-        return np.zeros(n)
-
-    return rhs
+def zero_rhs(t, u, v):
+    return np.zeros_like(u)
 
 
 class TestBuildResonance:
@@ -48,13 +45,13 @@ class TestBuildResonance:
         assert rd.matrix.shape == (6, 6)
 
     def test_identity_operator_non_resonant(self):
-        spec = ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs(3), 64)
+        spec = ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs, 64)
         with pytest.raises(NonResonantError):
             build_resonance(spec)
 
     def test_full_resonance(self):
         xi, alpha = 0.25, 1.5
-        spec = ProblemSpec(Order(alpha), xi, xi ** (1 - alpha) * np.eye(3), zero_rhs(3), 64)
+        spec = ProblemSpec(Order(alpha), xi, xi ** (1 - alpha) * np.eye(3), zero_rhs, 64)
         rd = build_resonance(spec)
         assert rd.dim_ker == 3
         np.testing.assert_allclose(rd.matrix, np.zeros((3, 3)), atol=1e-15)
@@ -69,7 +66,7 @@ class TestBuildResonance:
         # Resonance matrix with singular values {1, 3e-10, 0}: the middle
         # one sits within a decade of the 1e-9 rank tolerance.
         a_op = 2.0 * np.diag([0.0, 1.0 - 3e-10, 1.0])
-        spec = ProblemSpec(Order(1.5), 0.25, a_op, zero_rhs(3), 64)
+        spec = ProblemSpec(Order(1.5), 0.25, a_op, zero_rhs, 64)
         with pytest.warns(RuntimeWarning, match="tolerance-sensitive"):
             rd = build_resonance(spec, tol=1e-9)
         assert rd.rank_ambiguous
@@ -77,7 +74,7 @@ class TestBuildResonance:
 
     def test_xi_off_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs(3), 50)
+            ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs, 50)
 
 
 class TestBoundaryFunctional:
@@ -265,7 +262,7 @@ class TestVerifyStructure:
 
     def test_full_resonance_identity_trivial(self):
         xi, alpha = 0.25, 1.5
-        spec = ProblemSpec(Order(alpha), xi, xi ** (1 - alpha) * np.eye(3), zero_rhs(3), 64)
+        spec = ProblemSpec(Order(alpha), xi, xi ** (1 - alpha) * np.eye(3), zero_rhs, 64)
         rd = build_resonance(spec)
         sr = verify_structure(spec, rd, samples=3, seed=0)
         assert sr.identity_residual <= 1e-14
@@ -276,7 +273,7 @@ class TestVerifyStructure:
         alpha, xi = 1.5, 0.25
         r_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
         a_op = xi ** (1 - alpha) * (np.eye(2) - r_mat)
-        spec = ProblemSpec(Order(alpha), xi, a_op, zero_rhs(2), 64)
+        spec = ProblemSpec(Order(alpha), xi, a_op, zero_rhs, 64)
         rd = build_resonance(spec)
         assert rd.ep_defect == pytest.approx(1.0, abs=1e-12)
         sr = verify_structure(spec, rd, samples=5, seed=0)

@@ -31,7 +31,7 @@ SQRT_PI = math.sqrt(math.pi)
 class TestApplyRhs:
     def test_zero_rhs(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         x = DomainElement(np.array([1.0, 2.0, 3.0]), GridFn.zeros(64, 3))
         assert not apply_rhs(spec, x).values.any()
@@ -68,7 +68,7 @@ class TestApplyRhs:
 
     def test_nonfinite_rhs_reports_node(self):
         def bad(t, u, v):
-            return np.full(3, np.inf) if t > 0.5 else np.zeros(3)
+            return np.where(t[:, None] > 0.5, np.inf, np.zeros_like(u))
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), bad, 64)
         x = DomainElement(np.zeros(3), GridFn.zeros(64, 3))
@@ -76,10 +76,34 @@ class TestApplyRhs:
             apply_rhs(spec, x)
 
 
+class TestRhsContract:
+    def test_one_call_per_grid(self, sec4_rdata):
+        calls = []
+
+        def counting(t, u, v):
+            calls.append((t.shape, u.shape, v.shape))
+            return np.zeros_like(u)
+
+        spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), counting, 64)
+        apply_rhs(spec, DomainElement(np.ones(3), GridFn.zeros(64, 3)))
+        assert calls == [((65,), (65, 3), (65, 3))]
+        calls.clear()
+        # One call per iteration plus one for the residuals.
+        report = solve(spec, sec4_rdata, SolveOptions(max_iter=5))
+        assert calls == [((65,), (65, 3), (65, 3))] * (report.iterations + 1)
+
+    def test_vector_return_names_expected_shape(self):
+        spec = ProblemSpec(
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+        )
+        with pytest.raises(RhsEvaluationError, match=r"shape \(3,\), expected \(65, 3\)"):
+            apply_rhs(spec, DomainElement.zero(64, 3))
+
+
 class TestFixedPointMap:
     def test_zero_rhs_reaches_fixed_point_in_two_steps(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         x0 = DomainElement(np.array([1.0, -2.0, 3.0]), GridFn.zeros(64, 3))
         x1 = fixed_point_map(spec, sec4_rdata, x0)
@@ -106,7 +130,7 @@ class TestFixedPointMap:
 class TestSolve:
     def test_zero_rhs_undamped_two_iterations(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 64
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
         c0 = np.array([0.5, -1.0, 2.0])
         opts = SolveOptions(
@@ -133,7 +157,7 @@ class TestSolve:
         gvals = np.outer(1.0 + t, gvec)
 
         def rhs(tt, u, v):
-            return gvec * (1.0 + tt)
+            return np.outer(1.0 + tt, gvec)
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), rhs, n)
         g = GridFn(gvals)
@@ -186,7 +210,7 @@ class TestSolve:
 class TestResiduals:
     def test_exact_kernel_element_zero_rhs(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 256
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 256
         )
         x = DomainElement(np.array([0.0, 0.0, 1.3]), GridFn.zeros(256, 3))
         r = residuals(spec, sec4_rdata, x)
@@ -196,7 +220,7 @@ class TestResiduals:
 
     def test_boundary_defect_linear_in_perturbation(self, sec4_rdata):
         spec = ProblemSpec(
-            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(3), 256
+            Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 256
         )
         slope = np.linalg.norm(sec4_rdata.matrix @ np.array([1.0, 0.0, 0.0]))
         for delta in (1e-3, 1e-2, 1e-1):
