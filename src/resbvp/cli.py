@@ -6,8 +6,10 @@ Commands
     check-hypotheses   growth margins and sampling probes
     verify-example     golden-value verification of a builtin problem
 
-Problems come from ``--builtin NAME`` (with ``--k``) or ``--config PATH``
-pointing at a sectioned key = value file:
+A run takes its problem from exactly one source: ``--builtin NAME`` or
+``--config PATH``; passing both is an input error.  ``--k`` (block
+count) applies to ``--builtin`` only; a config file sets it in
+[operator].  The file is sectioned key = value text:
 
     [problem]
     alpha = 1.5
@@ -24,8 +26,12 @@ pointing at a sectioned key = value file:
     # d_matrix = D.csv
     # g_profile = zero | one | t | sqrt
 
+``--seed`` drives the sampled checks of analyze, check-hypotheses and
+verify-example; solve starts from the zero element and does not read it.
+
 Exit codes: 0 success; 1 non-resonant problem or failed smallness
-margins; 2 solver non-convergence; 3 input error.
+margins; 2 solver non-convergence; 3 input error (a value error in a
+config file names its line as ``<path>:<line>:``).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -52,6 +58,7 @@ from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
 from .problems import BUILTINS, Section4Report, verify_section4
 from .resonance import (
+    DomainElement,
     NonResonantError,
     ProblemSpec,
     ResonanceData,
@@ -157,9 +164,23 @@ def _reject_ignored(path: str, name: str, section: dict, keys: set[str], why: st
             raise ConfigError(f"{path}:{lineno}: key {key!r} in section [{name}] is ignored {why}")
 
 
-def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
-    """Parse a problem file into a spec, a growth envelope when one is
-    derivable, and a metadata dict for the report."""
+def _builtin_problem(name: str, k: int, grid_n: int) -> tuple[ProblemSpec, GrowthSpec, str]:
+    """Builtin ``name`` with k blocks on a grid_n grid, its growth envelope
+    and its report label: the one place a builtin is built."""
+    if name not in BUILTINS:
+        raise ConfigError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
+    _validate_grid(0.25, grid_n)  # every builtin fixes xi = 1/4
+    return BUILTINS[name].build(k, grid_n), BUILTINS[name].growth(), f"builtin:{name}"
+
+
+def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
+    """Parse a problem file into a spec, its growth envelope and the
+    problem label of the report.
+
+    Every problem source derives an envelope: the builtin's own, or the
+    exact one of the affine form.  A bad value raises ``ConfigError``
+    prefixed ``<path>:<line>:`` with the line of the offending key.
+    """
     sections = _parse_sections(path)
     base = str(Path(path).parent)
     for sec, keys in sections.items():
@@ -171,32 +192,34 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
     operator = sections.get("operator", {})
     rhs_sec = sections.get("rhs", {})
 
+    def at(sec: dict, key: str) -> str:
+        return f"{path}:{sec[key][1]}:"
+
     def fval(sec: dict, key: str, default: float | None = None) -> float | None:
         if key not in sec:
             return default
-        text, lineno = sec[key]
         try:
-            return float(text)
+            return float(sec[key][0])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key} must be a number, got {text!r}") from exc
+            raise ConfigError(f"{at(sec, key)} {key} must be a number, got {sec[key][0]!r}") from exc
 
     def ival(sec: dict, key: str, default: int | None = None) -> int | None:
         if key not in sec:
             return default
-        text, lineno = sec[key]
         try:
-            return int(text)
+            return int(sec[key][0])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {text!r}") from exc
+            raise ConfigError(f"{at(sec, key)} {key} must be an integer, got {sec[key][0]!r}") from exc
 
-    meta: dict = {"source": path}
-    growth: GrowthSpec | None = None
+    def grid_error(exc: ConfigError) -> ConfigError:
+        # The default grid_n passes every check, so a grid error points at
+        # the file's grid_n, or at its xi when grid_n is left out.
+        return ConfigError(f"{at(problem, 'grid_n' if 'grid_n' in problem else 'xi')} {exc}")
 
     op_builtin = operator.get("builtin", (None, 0))[0]
     if op_builtin is not None:
         if op_builtin not in BUILTINS:
-            lineno = operator["builtin"][1]
-            raise ConfigError(f"{path}:{lineno}: unknown builtin {op_builtin!r}")
+            raise ConfigError(f"{at(operator, 'builtin')} unknown builtin {op_builtin!r}")
         why = f"beside [operator] builtin = {op_builtin}"
         _reject_ignored(path, "operator", operator, {"csv"}, why)
         # The builtin operator brings its own rhs; [rhs] may only name it.
@@ -208,15 +231,17 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
         grid_n = ival(problem, "grid_n", 256)
         alpha = fval(problem, "alpha", 1.5)
         xi = fval(problem, "xi", 0.25)
-        if abs(alpha - 1.5) > 1e-12 or abs(xi - 0.25) > 1e-12:
-            raise ConfigError(
-                f"{path}: builtin {op_builtin!r} fixes alpha = 1.5 and xi = 0.25"
-            )
-        _validate_grid(xi, grid_n)
-        spec = BUILTINS[op_builtin].build(k, grid_n)
-        growth = BUILTINS[op_builtin].growth()
-        meta.update(problem="builtin:" + op_builtin, k=k)
-        return spec, growth, meta
+        for key, value, fixed in (("alpha", alpha, 1.5), ("xi", xi, 0.25)):
+            if abs(value - fixed) > 1e-12:
+                raise ConfigError(
+                    f"{at(problem, key)} builtin {op_builtin!r} fixes alpha = 1.5 and xi = 0.25"
+                )
+        if k < 1:
+            raise ConfigError(f"{at(operator, 'k')} block count must be positive, got {k}")
+        try:
+            return _builtin_problem(op_builtin, k, grid_n)
+        except ConfigError as exc:
+            raise grid_error(exc) from None
 
     if "csv" not in operator:
         raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
@@ -228,38 +253,39 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
     if alpha is None or xi is None:
         raise ConfigError(f"{path}: section [problem] needs alpha and xi for a csv operator")
     if not (1.0 < alpha <= 2.0):
-        raise ConfigError(f"{path}: alpha must lie in (1, 2], got {alpha}")
+        raise ConfigError(f"{at(problem, 'alpha')} alpha must lie in (1, 2], got {alpha}")
     if not (0.0 < xi < 1.0):
-        raise ConfigError(f"{path}: xi must lie in (0, 1), got {xi}")
-    _validate_grid(xi, grid_n)
+        raise ConfigError(f"{at(problem, 'xi')} xi must lie in (0, 1), got {xi}")
+    try:
+        _validate_grid(xi, grid_n)
+    except ConfigError as exc:
+        raise grid_error(exc) from None
     n = a_op.shape[0]
 
     rhs_builtin = rhs_sec.get("builtin", (None, 0))[0]
     if rhs_builtin is not None:
         if rhs_builtin not in BUILTINS:
-            lineno = rhs_sec["builtin"][1]
-            raise ConfigError(f"{path}:{lineno}: unknown rhs builtin {rhs_builtin!r}")
+            raise ConfigError(f"{at(rhs_sec, 'builtin')} unknown rhs builtin {rhs_builtin!r}")
         _reject_ignored(path, "rhs", rhs_sec, _AFFINE_KEYS, "beside [rhs] builtin")
         rhs = BUILTINS[rhs_builtin].rhs_factory(n)
         growth = BUILTINS[rhs_builtin].growth()
-        meta.update(problem="csv+builtin-rhs")
+        label = "csv+builtin-rhs"
     else:
-        c_mat = (
-            load_matrix_csv(Path(base) / rhs_sec["c_matrix"][0])
-            if "c_matrix" in rhs_sec
-            else np.zeros((n, n))
-        )
-        d_mat = (
-            load_matrix_csv(Path(base) / rhs_sec["d_matrix"][0])
-            if "d_matrix" in rhs_sec
-            else np.zeros((n, n))
-        )
-        if c_mat.shape != (n, n) or d_mat.shape != (n, n):
-            raise ConfigError(f"{path}: affine rhs matrices must be {n}x{n}")
+
+        def matrix(key: str) -> np.ndarray:
+            if key not in rhs_sec:
+                return np.zeros((n, n))
+            m = load_matrix_csv(Path(base) / rhs_sec[key][0])
+            if m.shape != (n, n):
+                raise ConfigError(f"{at(rhs_sec, key)} affine rhs matrices must be {n}x{n}")
+            return m
+
+        c_mat, d_mat = matrix("c_matrix"), matrix("d_matrix")
         profile_name = rhs_sec.get("g_profile", ("zero", 0))[0]
         if profile_name not in _G_PROFILES:
             raise ConfigError(
-                f"{path}: unknown g_profile {profile_name!r}; choose from {sorted(_G_PROFILES)}"
+                f"{at(rhs_sec, 'g_profile')} unknown g_profile {profile_name!r}; "
+                f"choose from {sorted(_G_PROFILES)}"
             )
         g = _G_PROFILES[profile_name]
 
@@ -273,21 +299,21 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
             lin_v=operator_norm(d_mat),
             offset=math.sqrt(n),
         )
-        meta.update(problem=f"csv+affine(g={profile_name})")
+        label = f"csv+affine(g={profile_name})"
 
     spec = ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n)
-    return spec, growth, meta
+    return spec, growth, label
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_solution_csv(path: Path, spec: ProblemSpec, report: SolveReport) -> None:
-    x = evaluate(report.element, spec.ord).values
-    d = derivative_trace(report.element, spec.ord).values
-    t = report.element.source.nodes
-    n = spec.dim
+def _write_solution_csv(path: Path, ord: Order, element: DomainElement) -> None:
+    x = evaluate(element, ord).values
+    d = derivative_trace(element, ord).values
+    t = element.source.nodes
+    n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
     lines = [",".join(header)]
     for j in range(t.shape[0]):
@@ -310,9 +336,7 @@ def _resonance_lines(rdata: ResonanceData) -> list[str]:
     ]
 
 
-def _margins_lines(m: MarginsReport | None) -> list[str]:
-    if m is None:
-        return ["== smallness margins ==", "no growth data supplied", ""]
+def _margins_lines(m: MarginsReport) -> list[str]:
     return [
         "== smallness margins ==",
         f"gamma(alpha)  (lhs)      : {_fmt(m.lhs)}",
@@ -342,32 +366,21 @@ def _solve_lines(report: SolveReport) -> list[str]:
 
 
 def _conditions_lines(report: ConditionsReport) -> list[str]:
-    lines = _margins_lines(report.margins)
-    lines += ["== sampling probes (evidence, not proof) =="]
-    g = report.growth_samples
-    if g is not None:
-        lines += [
-            f"growth envelope samples  : {g.samples}",
-            f"violations               : {g.violations}",
-            f"worst slack              : {_fmt(g.worst_slack)}",
-        ]
-    tp = report.trace_probe
-    if tp is not None:
-        lines += [
-            f"trace level              : {_fmt(tp.trace_level)}",
-            f"min range-escape defect  : {_fmt(tp.min_defect)}",
-            f"max range-escape defect  : {_fmt(tp.max_defect)}",
-        ]
-    kp = report.kernel_probe
-    if kp is not None:
-        lines += [
-            f"kernel level             : {_fmt(kp.kernel_level)}",
-            f"kernel feedback min      : {_fmt(kp.min_inner)}",
-            f"kernel feedback max      : {_fmt(kp.max_inner)}",
-            f"strict sign              : {kp.strict_sign}",
-        ]
-    lines.append("")
-    return lines
+    g, tp, kp = report.growth_samples, report.trace_probe, report.kernel_probe
+    return _margins_lines(report.margins) + [
+        "== sampling probes (evidence, not proof) ==",
+        f"growth envelope samples  : {g.samples}",
+        f"violations               : {g.violations}",
+        f"worst slack              : {_fmt(g.worst_slack)}",
+        f"trace level              : {_fmt(tp.trace_level)}",
+        f"min range-escape defect  : {_fmt(tp.min_defect)}",
+        f"max range-escape defect  : {_fmt(tp.max_defect)}",
+        f"kernel level             : {_fmt(kp.kernel_level)}",
+        f"kernel feedback min      : {_fmt(kp.min_inner)}",
+        f"kernel feedback max      : {_fmt(kp.max_inner)}",
+        f"strict sign              : {kp.strict_sign}",
+        "",
+    ]
 
 
 def _golden_lines(report: Section4Report) -> list[str]:
@@ -391,22 +404,15 @@ def _golden_lines(report: Section4Report) -> list[str]:
     return lines
 
 
-def _build_problem(cfg: RunConfig) -> tuple[ProblemSpec, GrowthSpec | None, dict]:
+def _build_problem(cfg: RunConfig) -> tuple[ProblemSpec, GrowthSpec, str]:
     if cfg.config_path:
-        spec, growth, meta = parse_config(cfg.config_path)
-        if cfg.grid_n is not None and cfg.grid_n != spec.grid_n:
+        spec, growth, label = parse_config(cfg.config_path)
+        if cfg.grid_n is not None:
             _validate_grid(spec.xi, cfg.grid_n)
-            spec = ProblemSpec(
-                ord=spec.ord, xi=spec.xi, a_op=spec.a_op, rhs=spec.rhs, grid_n=cfg.grid_n
-            )
-        return spec, growth, meta
+            spec = replace(spec, grid_n=cfg.grid_n)
+        return spec, growth, label
     if cfg.builtin:
-        if cfg.builtin not in BUILTINS:
-            raise ConfigError(f"unknown builtin {cfg.builtin!r}; available: {sorted(BUILTINS)}")
-        grid_n = cfg.grid_n if cfg.grid_n is not None else 256
-        _validate_grid(0.25, grid_n)
-        b = BUILTINS[cfg.builtin]
-        return b.build(cfg.k, grid_n), b.growth(), {"problem": f"builtin:{cfg.builtin}", "k": cfg.k}
+        return _builtin_problem(cfg.builtin, cfg.k, cfg.grid_n if cfg.grid_n is not None else 256)
     raise ConfigError("no problem source: pass --builtin NAME or --config PATH")
 
 
@@ -418,28 +424,24 @@ def run(cfg: RunConfig) -> int:
     lines: list[str] = [f"resbvp report: command = {cfg.command}"]
     exit_code = 0
     try:
+        if cfg.builtin and cfg.config_path:
+            raise ConfigError("--builtin and --config cannot be used together; pass one problem source")
         if cfg.command == "verify-example":
-            if cfg.config_path and not cfg.builtin:
+            if cfg.config_path:
                 raise ConfigError("verify-example runs on a builtin; pass --builtin NAME")
-            name = cfg.builtin or "section4"
-            if name not in BUILTINS:
-                raise ConfigError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
             grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
-            _validate_grid(0.25, grid_n)
+            spec, _, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
             report = verify_section4(cfg.k, grid_n, seed=cfg.seed)
-            lines += [f"problem: builtin:{name} k={cfg.k} grid_n={grid_n}", ""]
+            lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}", ""]
             lines += _golden_lines(report)
-            solve_grid = report.solve.element.source.n_intervals
-            _write_solution_csv(
-                out / "solution.csv", BUILTINS[name].build(cfg.k, solve_grid), report.solve
-            )
+            _write_solution_csv(out / "solution.csv", spec.ord, report.solve.element)
             if not report.margins.ok:
                 exit_code = 1
             elif not report.solve.converged:
                 exit_code = 2
         else:
-            spec, growth, meta = _build_problem(cfg)
-            lines += [f"problem: {meta.get('problem', 'custom')} grid_n={spec.grid_n}", ""]
+            spec, growth, label = _build_problem(cfg)
+            lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
             lines += [
                 "== problem ==",
                 f"alpha                    : {_fmt(spec.ord.alpha)}",
@@ -450,9 +452,9 @@ def run(cfg: RunConfig) -> int:
             ]
             rdata = build_resonance(spec)
             lines += _resonance_lines(rdata)
-            # The margin triple appears whenever growth data exists, on
-            # every flow and every outcome.
-            if growth is not None and cfg.command != "check-hypotheses":
+            # The margin triple appears on every flow and every outcome;
+            # check-hypotheses prints it with its probes.
+            if cfg.command != "check-hypotheses":
                 lines += _margins_lines(check_growth_margins(spec.ord, rdata, growth))
             if cfg.command == "analyze":
                 sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
@@ -467,20 +469,16 @@ def run(cfg: RunConfig) -> int:
                     "",
                 ]
             elif cfg.command == "solve":
-                opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter, seed=cfg.seed)
-                report = solve(spec, rdata, opts)
+                report = solve(spec, rdata, SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter))
                 lines += _solve_lines(report)
-                _write_solution_csv(out / "solution.csv", spec, report)
+                _write_solution_csv(out / "solution.csv", spec.ord, report.element)
                 if not report.converged:
                     exit_code = 2
             elif cfg.command == "check-hypotheses":
-                creport = check_all(spec, rdata, growth, seed=cfg.seed) if growth else None
-                if creport is None:
-                    lines += _margins_lines(None)
-                else:
-                    lines += _conditions_lines(creport)
-                    if not creport.margins.ok:
-                        exit_code = 1
+                creport = check_all(spec, rdata, growth, seed=cfg.seed)
+                lines += _conditions_lines(creport)
+                if not creport.margins.ok:
+                    exit_code = 1
     except NonResonantError as exc:
         lines += ["", f"error: {exc}"]
         exit_code = 1
@@ -502,25 +500,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", dest="config_path", default=None, help="problem file path")
     parser.add_argument("--builtin", default=None, help="builtin problem name (e.g. section4)")
-    parser.add_argument("--k", type=int, default=1, help="block count for builtin problems")
+    parser.add_argument("--k", type=int, default=1, help="block count for --builtin")
     parser.add_argument("--grid", dest="grid_n", type=int, default=None, help="grid subintervals")
     parser.add_argument("--damping", type=float, default=0.5, help="relaxation factor in (0, 1]")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     parser.add_argument("--out", dest="out_dir", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            builtin=args.builtin,
-            k=args.k,
-            config_path=args.config_path,
-            grid_n=args.grid_n,
-            damping=args.damping,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            out_dir=args.out_dir,
-        )
+        cfg = RunConfig(**vars(args))
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -339,11 +339,9 @@ class ConditionsReport:
     """Aggregate of the margin arithmetic and the sampling probes."""
 
     margins: MarginsReport
-    growth_samples: GrowthSampleReport | None
-    trace_probe: TraceDefectProbe | None
-    kernel_probe: KernelSignProbe | None
-    trace_level: float
-    kernel_level: float
+    growth_samples: GrowthSampleReport
+    trace_probe: TraceDefectProbe
+    kernel_probe: KernelSignProbe
 
 
 def check_all(
@@ -361,11 +359,4 @@ def check_all(
     growth_rep = check_growth_bound(spec, growth, growth_sample_count, seed)
     trace = probe_large_trace_defect(spec, rdata, trace_level, sample_count, seed + 1)
     kern = probe_kernel_sign(spec, rdata, kernel_level, sample_count, seed + 2)
-    return ConditionsReport(
-        margins=margins,
-        growth_samples=growth_rep,
-        trace_probe=trace,
-        kernel_probe=kern,
-        trace_level=trace_level,
-        kernel_level=kernel_level,
-    )
+    return ConditionsReport(margins=margins, growth_samples=growth_rep, trace_probe=trace, kernel_probe=kern)

@@ -147,6 +147,8 @@ def load_matrix_csv(path) -> np.ndarray:
         rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValueError(f"{path}:{head_no}: header must be 'rows,cols'") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}:{head_no}: header must give positive 'rows,cols', got {rows},{cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
     data = np.empty((rows, cols))

@@ -100,8 +100,8 @@ class ProblemSpec:
         if not (0.0 < self.xi < 1.0):
             raise ValueError(f"xi must lie in (0, 1), got {self.xi}")
         a = np.asarray(self.a_op, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"boundary operator must be square, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"boundary operator must be square and non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("boundary operator has non-finite entries")
         if self.grid_n < 4:

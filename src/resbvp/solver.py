@@ -63,9 +63,8 @@ class SolveOptions:
     ``tol_residual`` governs the algebraic residuals (right boundary
     defect and solvability defect) that the scheme drives to zero; the
     interior equation residual is grid-limited and reported separately.
-    ``init_kernel_scale`` > 0 seeds the initial kernel component
-    randomly (resonance leaves that degree of freedom to the initial
-    guess), reproducibly under ``seed``.
+    ``initial`` is the start element (zero when None); resonance leaves
+    the kernel component of the solution to it.
     """
 
     relax: float = 0.5
@@ -73,8 +72,6 @@ class SolveOptions:
     tol_fixed_point: float = 1e-10
     tol_residual: float = 1e-6
     initial: DomainElement | None = None
-    init_kernel_scale: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.relax <= 1.0):
@@ -183,15 +180,7 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     converged flag additionally requires the algebraic residuals to meet
     ``tol_residual``.
     """
-    if opts.initial is not None:
-        x = opts.initial
-    else:
-        x = DomainElement.zero(spec.grid_n, spec.dim)
-        if opts.init_kernel_scale > 0:
-            rng = np.random.default_rng(opts.seed)
-            c0 = rdata.kernel @ (opts.init_kernel_scale * rng.standard_normal(rdata.dim_ker))
-            x = DomainElement(c0, x.source)
-
+    x = opts.initial if opts.initial is not None else DomainElement.zero(spec.grid_n, spec.dim)
     history: list[float] = []
     diverged = False
     settled = False

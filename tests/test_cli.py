@@ -251,6 +251,82 @@ class TestExitCodes:
         code = run_cli(["analyze", "--out", str(tmp_path / "r")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--builtin", "nosuch", "--k", "7"],
+            ["verify-example", "--builtin", "section4"],
+        ],
+        ids=["solve-unknown-builtin", "verify-example"],
+    )
+    def test_two_problem_sources_exit_three(self, tmp_path, args):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("[operator]\nbuiltin = section4\n")
+        out = tmp_path / "r"
+        code = run_cli(args + ["--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        text = (out / "report.txt").read_text()
+        assert "--builtin and --config cannot be used together" in text
+        assert not (out / "solution.csv").exists()
+
+    def test_empty_operator_exits_three_with_line(self, tmp_path):
+        (tmp_path / "a.csv").write_text("0,0\n")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n")
+        out = tmp_path / "r"
+        code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        text = (out / "report.txt").read_text()
+        assert "a.csv:1: header must give positive 'rows,cols', got 0,0" in text
+        assert "dimension" not in text
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[problem]\nalpha = 2.5\nxi = 0.5\n[operator]\ncsv = a.csv\n", 2),
+            ("[problem]\nalpha = 1.5\nxi = 1.5\n[operator]\ncsv = a.csv\n", 3),
+            ("[problem]\nalpha = 1.25\n[operator]\nbuiltin = section4\n", 2),
+            ("[problem]\ngrid_n = 64\nxi = 0.5\n[operator]\nbuiltin = section4\n", 3),
+            ("[problem]\nalpha = 1.5\nxi = 0.5\n[operator]\ncsv = a.csv\n[rhs]\ng_profile = cube\n", 7),
+            ("[problem]\nalpha = 1.5\nxi = 0.5\n[operator]\ncsv = a.csv\n[rhs]\nc_matrix = b.csv\n", 7),
+            (
+                "[problem]\nalpha = 1.5\nxi = 0.5\n[operator]\ncsv = a.csv\n"
+                "[rhs]\nc_matrix = a.csv\nd_matrix = b.csv\n",
+                8,
+            ),
+            ("[operator]\nbuiltin = section4\nk = 0\n", 3),
+            ("[problem]\ngrid_n = 4\n[operator]\nbuiltin = section4\n", 2),
+            ("[problem]\ngrid_n = 66\n[operator]\nbuiltin = section4\n", 2),
+            ("[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
+            ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 3),
+        ],
+        ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "g-profile", "c-shape",
+             "d-shape", "k-non-positive", "grid-below-8", "builtin-xi-off-grid",
+             "csv-xi-off-grid", "xi-off-default-grid"],
+    )
+    def test_value_error_exits_three_with_line(self, tmp_path, text, line):
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        save_matrix_csv(tmp_path / "b.csv", np.eye(2))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert f"p.cfg:{line}: " in (out / "report.txt").read_text()
+
+
+class TestBuiltinAndConfigAgree:
+    @pytest.mark.parametrize("command", ["solve", "check-hypotheses"])
+    @pytest.mark.parametrize("config_grid, grid_args", [("64", []), ("32", ["--grid", "64"])])
+    def test_byte_identical_outputs(self, tmp_path, command, config_grid, grid_args):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"[problem]\ngrid_n = {config_grid}\n[operator]\nbuiltin = section4\nk = 2\n")
+        a, b = tmp_path / "builtin", tmp_path / "config"
+        assert run_cli([command, "--builtin", "section4", "--k", "2", "--grid", "64", "--out", str(a)]) == 0
+        assert run_cli([command, "--config", str(cfg), *grid_args, "--out", str(b)]) == 0
+        for name in ["report.txt", "solution.csv"] if command == "solve" else ["report.txt"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestAnalyzeAndHypotheses:
     def test_analyze_section4(self, tmp_path):

@@ -202,6 +202,13 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:4: non-finite entry"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("header", ["0,0", "0,2", "2,0", "-1,2"])
+    def test_non_positive_shape_reports_line(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"\n{header}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: header must give positive 'rows,cols'"):
+            load_matrix_csv(path)
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("3,2\n1,0\n0,1\n")

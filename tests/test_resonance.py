@@ -76,6 +76,10 @@ class TestBuildResonance:
         with pytest.raises(ValueError, match="grid"):
             ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs, 50)
 
+    def test_empty_operator_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ProblemSpec(Order(1.5), 0.25, np.zeros((0, 0)), zero_rhs, 64)
+
 
 class TestBoundaryFunctional:
     def test_zero(self, sec4_spec):

@@ -201,7 +201,9 @@ class TestSolve:
         assert not report.converged
 
     def test_seeded_kernel_initialization_deterministic(self, sec4_spec, sec4_rdata):
-        opts = SolveOptions(init_kernel_scale=0.5, seed=7)
+        rng = np.random.default_rng(7)
+        c0 = sec4_rdata.kernel @ (0.5 * rng.standard_normal(sec4_rdata.dim_ker))
+        opts = SolveOptions(initial=DomainElement(c0, GridFn.zeros(sec4_spec.grid_n, sec4_spec.dim)))
         r1 = solve(sec4_spec, sec4_rdata, opts)
         r2 = solve(sec4_spec, sec4_rdata, opts)
         np.testing.assert_array_equal(r1.element.coef, r2.element.coef)
