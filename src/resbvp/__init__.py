@@ -18,7 +18,6 @@ from .conditions import (
     check_growth_bound,
     check_growth_margins,
     constant_growth,
-    estimate_l1_norms,
     probe_kernel_sign,
     probe_large_trace_defect,
 )

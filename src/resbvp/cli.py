@@ -56,7 +56,7 @@ from .conditions import (
 )
 from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
-from .problems import BUILTINS, Section4Report, verify_section4
+from .problems import BUILTINS, PROBE_GRID_CAP, SOLVE_GRID_CAP, Section4Report, verify_section4
 from .resonance import (
     DomainElement,
     NonResonantError,
@@ -355,9 +355,8 @@ def _solve_lines(report: SolveReport) -> list[str]:
         f"converged                : {report.converged}",
         f"diverged                 : {report.diverged}",
         f"iterations               : {report.iterations}",
-        f"final iterate difference : {_fmt(report.diff_history[-1]) if report.diff_history else 'n/a'}",
+        f"final iterate difference : {_fmt(report.diff_history[-1])}",
         f"pde residual (interior)  : {_fmt(r.pde_residual)}",
-        f"left bc defect           : {_fmt(r.left_bc_defect)}",
         f"right bc defect          : {_fmt(r.right_bc_defect)}",
         f"bc consistency           : {_fmt(r.bc_consistency)}",
         f"solvability defect       : {_fmt(r.solvability_defect)}",
@@ -432,7 +431,9 @@ def run(cfg: RunConfig) -> int:
             grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
             spec, _, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
             report = verify_section4(cfg.k, grid_n, seed=cfg.seed)
-            lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}", ""]
+            probe_n, solve_n = min(grid_n, PROBE_GRID_CAP), min(grid_n, SOLVE_GRID_CAP)
+            lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}"]
+            lines += [f"grids: quadrature={grid_n} probe={probe_n} solve={solve_n}", ""]
             lines += _golden_lines(report)
             _write_solution_csv(out / "solution.csv", spec.ord, report.solve.element)
             if not report.margins.ok:

@@ -17,13 +17,12 @@ import numpy as np
 
 from .fracops import GridFn, Order, cumulative_integral, gamma
 from .linops import operator_norm
-from .resonance import DomainElement, ProblemSpec, ResonanceData, boundary_functional
+from .resonance import DomainElement, ProblemSpec, ResonanceData, boundary_functional, evaluate
 from .solver import apply_rhs, eval_rhs
 
 __all__ = [
     "GrowthSpec",
     "constant_growth",
-    "estimate_l1_norms",
     "GrowthSampleReport",
     "MarginsReport",
     "TraceDefectProbe",
@@ -44,8 +43,7 @@ class GrowthSpec:
     """Envelope || f(t,u,v) || <= lin_u(t)|u| + lin_v(t)|v| + sub_u(t)|u|^exp_u + sub_v(t)|v|^exp_v + offset(t).
 
     Norms are l2 norms of u, v.  The five L1 norms are supplied by the
-    caller so closed-form specifications stay exact; use
-    ``estimate_l1_norms`` when only callbacks are available.
+    caller so closed-form specifications stay exact.
     """
 
     lin_u: ScalarFn
@@ -97,24 +95,6 @@ def constant_growth(
         exp_u=exp_u,
         exp_v=exp_v,
     )
-
-
-def estimate_l1_norms(
-    fns: dict[str, ScalarFn], n_intervals: int = 4096
-) -> dict[str, tuple[float, float]]:
-    """Trapezoid L1 norms of nonnegative coefficient functions.
-
-    Returns {name: (value, error_estimate)} with the error estimated by
-    comparison against the half-resolution rule.
-    """
-    out = {}
-    for name, fn in fns.items():
-        t_fine = np.linspace(0.0, 1.0, n_intervals + 1)
-        t_half = t_fine[::2]
-        v_fine = np.trapezoid(np.abs([fn(t) for t in t_fine]), t_fine)
-        v_half = np.trapezoid(np.abs([fn(t) for t in t_half]), t_half)
-        out[name] = (float(v_fine), float(abs(v_fine - v_half) / 3.0))
-    return out
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -253,7 +233,8 @@ def probe_large_trace_defect(
 
     The trace is Gamma(alpha) coef + int_0^t source; picking
     || Gamma(alpha) coef || above trace_level + max_t || int_0^t source ||
-    keeps it above the level for all t.
+    keeps it above the level for all t; the same integral then builds
+    the trace that f is evaluated at.
     """
     if trace_level <= 0:
         raise ValueError("trace_level must be positive")
@@ -271,9 +252,8 @@ def probe_large_trace_defect(
         scale = (trace_level + margin + 1.0) / ga * (1.0 + rng.uniform())
         c = scale * _random_direction(rng, n)
         x = DomainElement(c, src)
-        defect = float(
-            np.linalg.norm(rdata.offrange_proj @ boundary_functional(apply_rhs(spec, x), spec))
-        )
+        w = GridFn(eval_rhs(spec, t, evaluate(x, spec.ord).values, ga * x.coef + i1))
+        defect = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
         lo = min(lo, defect)
         hi = max(hi, defect)
     return TraceDefectProbe(

@@ -24,7 +24,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -100,12 +100,9 @@ class GridFn:
 
     ``values`` has shape (N+1, n) with N >= 2 subintervals.  Instances
     are immutable; the sample array is copied and marked read-only.
-    ``lowacc_nodes`` marks nodes whose values were produced by a
-    lower-accuracy stencil (used by ``frac_derivative``).
     """
 
     values: np.ndarray
-    lowacc_nodes: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -168,11 +165,7 @@ class PowerFn:
         t = np.asarray(nodes, dtype=float)
         if self.exponent < 0 and np.any(t == 0.0):
             raise ValueError("cannot sample a negative power at t = 0")
-        if self.exponent == 0.0:
-            tp = np.ones_like(t)
-        else:
-            tp = t ** self.exponent
-        return np.outer(tp, self.coef)
+        return np.outer(t**self.exponent, self.coef)
 
 
 @lru_cache(maxsize=64)
@@ -187,12 +180,10 @@ def _product_trapezoid_weights(a: float, n: int) -> tuple[np.ndarray, np.ndarray
     m = np.arange(n + 1, dtype=float)
     b = np.empty(n + 1)
     b[0] = 1.0
-    if n >= 1:
-        b[1:] = (m[1:] + 1.0) ** (a + 1.0) + (m[1:] - 1.0) ** (a + 1.0) - 2.0 * m[1:] ** (a + 1.0)
+    b[1:] = (m[1:] + 1.0) ** (a + 1.0) + (m[1:] - 1.0) ** (a + 1.0) - 2.0 * m[1:] ** (a + 1.0)
     w0 = np.zeros(n + 1)
-    if n >= 1:
-        j = m[1:]
-        w0[1:] = (j - 1.0) ** (a + 1.0) - (j - 1.0 - a) * j ** a
+    j = m[1:]
+    w0[1:] = (j - 1.0) ** (a + 1.0) - (j - 1.0 - a) * j ** a
     b.setflags(write=False)
     w0.setflags(write=False)
     return b, w0
@@ -233,9 +224,9 @@ def frac_derivative(x: GridFn, ord: Order) -> GridFn:
 
     Computed as the second difference quotient of I^(2-alpha) x, the
     definition D^alpha = (d/dt)^2 I^(2-alpha) taken literally on the
-    grid.  The two endpoint nodes use one-sided stencils and are flagged
-    in ``lowacc_nodes``.  Intended for residual verification; solver
-    internals never differentiate numerically.
+    grid.  The two endpoint nodes use one-sided, lower-accuracy stencils;
+    callers that need full accuracy exclude them.  Intended for residual
+    verification; solver internals never differentiate numerically.
     """
     n = x.n_intervals
     if n < 4:
@@ -249,7 +240,7 @@ def frac_derivative(x: GridFn, ord: Order) -> GridFn:
     d[1:n] = iv[0 : n - 1] - 2.0 * iv[1:n] + iv[2 : n + 1]
     d[0] = 2.0 * iv[0] - 5.0 * iv[1] + 4.0 * iv[2] - iv[3]
     d[n] = 2.0 * iv[n] - 5.0 * iv[n - 1] + 4.0 * iv[n - 2] - iv[n - 3]
-    return GridFn(d / h**2, lowacc_nodes=(0, n))
+    return GridFn(d / h**2)
 
 
 def cumulative_integral(y: GridFn) -> GridFn:

@@ -38,6 +38,8 @@ from .solver import SolveOptions, SolveReport, apply_rhs, solve
 
 __all__ = [
     "BLOCK_DIAGONAL",
+    "PROBE_GRID_CAP",
+    "SOLVE_GRID_CAP",
     "build_section4",
     "section4_growth",
     "GoldenCheck",
@@ -49,6 +51,9 @@ __all__ = [
 ]
 
 BLOCK_DIAGONAL = (1.5, 1.75, 2.0)
+
+# Grid caps of verify_section4's kernel-sign probe and of its solve.
+PROBE_GRID_CAP, SOLVE_GRID_CAP = 1024, 256
 
 # Reciprocals in the switched branch are taken as 0 at an exactly zero
 # argument (the value the worked constants of this configuration assume);
@@ -137,8 +142,9 @@ def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report
 
     Matrix entries and margin numbers are checked by arithmetic; the two
     beta-moment constants by product quadrature at the given grid; the
-    kernel-feedback sign by sampling under ``seed``.  Failures are
-    enumerated in the report, never thrown.
+    kernel-feedback sign by sampling under ``seed`` at min(grid_n,
+    PROBE_GRID_CAP); the solve runs at min(grid_n, SOLVE_GRID_CAP).
+    Failures are enumerated in the report, never thrown.
     """
     spec = build_section4(k, grid_n)
     rdata = build_resonance(spec)
@@ -206,13 +212,13 @@ def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report
     checks.append(GoldenCheck("h_kernel_feedback_first_computed", float(h_w[0]), 13.0 / (120.0 * sq_pi), 1e-6))
 
     margins = check_growth_margins(spec.ord, rdata, section4_growth())
-    probe_spec = build_section4(k, min(grid_n, 1024))
+    probe_spec = build_section4(k, min(grid_n, PROBE_GRID_CAP))
     probe = probe_kernel_sign(probe_spec, rdata, kernel_level=1.0, sample_count=50, seed=seed)
     checks.append(
         GoldenCheck("kernel_sign_strictly_positive", 1.0 if probe.strict_sign == "positive" else 0.0, 1.0, 0.0)
     )
 
-    solve_spec = build_section4(k, min(grid_n, 256))
+    solve_spec = build_section4(k, min(grid_n, SOLVE_GRID_CAP))
     solve_rdata = build_resonance(solve_spec)
     report = solve(solve_spec, solve_rdata, SolveOptions(relax=0.5, max_iter=200))
 

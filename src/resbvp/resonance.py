@@ -133,15 +133,16 @@ class ResonanceData:
     kernel lies inside the range; the kernel and cokernel coincide, and J
     is the orthogonal projector onto them, exactly when it vanishes,
     which is the regime where the splitting is a genuine direct sum.
-    ``proj_scale`` is the idempotency-pinned coefficient of the
-    obstruction projection.
+    ``offrange_proj`` = I - R R^+ and ``kernel_proj`` = I - R^+ R project
+    orthogonally onto the cokernel and the kernel; ``proj_scale`` is the
+    idempotency-pinned coefficient of the obstruction projection.
     """
 
     matrix: np.ndarray
     pinv: np.ndarray
     rank: int
-    range_proj: np.ndarray
-    corange_proj: np.ndarray
+    offrange_proj: np.ndarray
+    kernel_proj: np.ndarray
     kernel: np.ndarray
     lift: np.ndarray
     dim_ker: int
@@ -150,22 +151,12 @@ class ResonanceData:
     rank_ambiguous: bool
 
     def __post_init__(self) -> None:
-        for name in ("matrix", "pinv", "range_proj", "corange_proj", "kernel", "lift"):
+        for name in ("matrix", "pinv", "offrange_proj", "kernel_proj", "kernel", "lift"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def offrange_proj(self) -> np.ndarray:
-        """I - R R^+, the orthogonal projector onto the cokernel."""
-        return np.eye(self.dim) - self.range_proj
-
-    @property
-    def kernel_proj(self) -> np.ndarray:
-        """I - R^+ R, the orthogonal projector onto the kernel."""
-        return np.eye(self.dim) - self.corange_proj
 
     def obstruction(self, h: np.ndarray) -> np.ndarray:
         """Obstruction coefficient kappa (I - R R^+) h of a boundary-functional value."""
@@ -246,8 +237,8 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
         matrix=r,
         pinv=pr.pinv,
         rank=pr.rank,
-        range_proj=pr.range_proj,
-        corange_proj=pr.corange_proj,
+        offrange_proj=np.eye(n) - pr.range_proj,
+        kernel_proj=np.eye(n) - pr.corange_proj,
         kernel=ker,
         lift=ker @ coker.T,
         dim_ker=dim_ker,
@@ -344,7 +335,7 @@ class StructureReport:
     at each end and saturates at a small N-independent boundary-layer
     value, while ``left_inverse_window`` (t in [0.1, 0.9]) decays with
     the grid.  The remaining checks are algebraic or exact-route and sit
-    near rounding error whenever ``ep_defect`` vanishes.
+    near rounding error whenever ``ResonanceData.ep_defect`` vanishes.
     """
 
     identity_residual: float
@@ -353,7 +344,6 @@ class StructureReport:
     kernel_fix_residual: float
     left_inverse_residual: float
     left_inverse_window: float
-    ep_defect: float
 
 
 def verify_structure(
@@ -423,5 +413,4 @@ def verify_structure(
         kernel_fix_residual=kernel_fix,
         left_inverse_residual=left_inv,
         left_inverse_window=left_win,
-        ep_defect=rdata.ep_defect,
     )

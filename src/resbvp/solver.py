@@ -86,9 +86,9 @@ class SolveOptions:
 class ResidualBlock:
     """Measured defects of a candidate solution.
 
-    left_bc_defect is zero by representation and reported for
-    completeness.  right_bc_defect is || x(1) - A x(xi) || evaluated on
-    the grid; bc_consistency is its disagreement with the algebraic form
+    right_bc_defect is || x(1) - A x(xi) || evaluated on the grid (the
+    left condition I^(2-alpha) x(0) = 0 holds by representation);
+    bc_consistency is its disagreement with the algebraic form
     || R coef - h(source) || (the two coincide up to rounding).
     solvability_defect is || (I - R R^+) h(N x) ||, and pde_residual is
     the interior sup-norm of D^alpha x - f(t, x, D^(alpha-1) x) with the
@@ -97,7 +97,6 @@ class ResidualBlock:
     """
 
     pde_residual: float
-    left_bc_defect: float
     right_bc_defect: float
     bc_consistency: float
     solvability_defect: float
@@ -241,7 +240,6 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
     solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(GridFn(w), spec)))
     return ResidualBlock(
         pde_residual=pde,
-        left_bc_defect=0.0,
         right_bc_defect=direct,
         bc_consistency=abs(direct - algebraic),
         solvability_defect=solvability,

@@ -32,6 +32,12 @@ class TestVerifyExampleFlow:
         assert "dtrace_1" in header and "dtrace_3" in header
         assert len(lines) == 258  # header + 257 nodes (solve grid capped at 256)
 
+    def test_report_names_the_grids_used(self, tmp_path):
+        out = tmp_path / "run"
+        run_cli(["verify-example", "--builtin", "section4", "--grid", "512", "--out", str(out)])
+        lines = (out / "report.txt").read_text().splitlines()
+        assert "grids: quadrature=512 probe=512 solve=256" in lines
+
 
 class TestSolveFlow:
     def test_section4_solve_exit_zero(self, tmp_path):

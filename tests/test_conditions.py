@@ -12,7 +12,6 @@ from resbvp import (
     check_growth_bound,
     check_growth_margins,
     constant_growth,
-    estimate_l1_norms,
     gamma,
     probe_kernel_sign,
     probe_large_trace_defect,
@@ -222,17 +221,3 @@ class TestKernelSignProbe:
         )
         with pytest.raises(ValueError, match="positive"):
             probe_kernel_sign(spec, sec4_rdata, 0.0, 10, seed=0)
-
-
-class TestL1Estimation:
-    def test_matches_exact_for_constants(self):
-        vals = estimate_l1_norms({"a": lambda t: 0.25}, 256)
-        value, err = vals["a"]
-        assert value == pytest.approx(0.25, rel=1e-12)
-        assert err <= 1e-12
-
-    def test_error_estimate_reasonable(self):
-        vals = estimate_l1_norms({"a": lambda t: math.sqrt(t)}, 1024)
-        value, err = vals["a"]
-        assert value == pytest.approx(2.0 / 3.0, abs=1e-4)
-        assert abs(value - 2.0 / 3.0) <= 10.0 * err + 1e-12

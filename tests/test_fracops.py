@@ -220,10 +220,6 @@ class TestFracDerivative:
         d = frac_derivative(GridFn(t**2), Order(2.0))
         np.testing.assert_allclose(d.values.ravel(), 2.0, atol=1e-8)
 
-    def test_endpoints_flagged(self):
-        d = frac_derivative(GridFn(np.linspace(0, 1, 9) ** 2), Order(1.5))
-        assert d.lowacc_nodes == (0, 8)
-
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             frac_derivative(GridFn(np.zeros((4, 1))), Order(1.5))

@@ -1,0 +1,79 @@
+"""Recorded outputs of the section4 builtin at N = 256.
+
+The files under ``tests/data`` were written by
+
+    resbvp solve --builtin section4 --k 1 --grid 256
+    resbvp check-hypotheses --builtin section4 --grid 256
+
+``solution.csv`` must stay within 1e-12 of each column's scale (a column
+that is identically zero stays zero), the discrete solve outcome must
+match exactly, and every figure of the check-hypotheses report must stay
+within 1e-12 relative.  Rounding-level drift passes; a changed solution
+does not.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from resbvp.cli import main
+
+DATA = Path(__file__).parent / "data"
+REL_TOL = 1e-12
+
+
+def _report_entries(text: str) -> dict[tuple[str, str], str]:
+    """``key : value`` lines of a report, keyed by (section, key)."""
+    entries = {}
+    section = ""
+    for line in text.splitlines():
+        if line.startswith("== "):
+            section = line
+            continue
+        key, sep, value = line.partition(":")
+        if sep and not line.startswith(("resbvp report", "problem:")):
+            entries[(section, key.strip())] = value.strip()
+    return entries
+
+
+def _as_float(value: str) -> float | None:
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+class TestSection4Outputs:
+    def test_solve_matches_recorded_solution(self, tmp_path):
+        assert main(["solve", "--builtin", "section4", "--k", "1", "--grid", "256", "--out", str(tmp_path)]) == 0
+        ref_path = DATA / "section4_k1_n256_solution.csv"
+        new_path = tmp_path / "solution.csv"
+        assert new_path.read_text().splitlines()[0] == ref_path.read_text().splitlines()[0]
+        ref = np.loadtxt(ref_path, delimiter=",", skiprows=1)
+        new = np.loadtxt(new_path, delimiter=",", skiprows=1)
+        assert new.shape == ref.shape
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(new - ref) <= REL_TOL * scale)
+
+        entries = _report_entries((tmp_path / "report.txt").read_text())
+        expected = {
+            ("== resonance decomposition ==", "rank"): "2",
+            ("== resonance decomposition ==", "kernel dimension"): "1",
+            ("== solver ==", "converged"): "True",
+            ("== solver ==", "iterations"): "32",
+        }
+        assert {key: entries.get(key) for key in expected} == expected
+
+    def test_check_hypotheses_matches_recorded_figures(self, tmp_path):
+        assert main(["check-hypotheses", "--builtin", "section4", "--grid", "256", "--out", str(tmp_path)]) == 0
+        ref = _report_entries((DATA / "section4_n256_hypotheses_report.txt").read_text())
+        new = _report_entries((tmp_path / "report.txt").read_text())
+        assert len(ref) > 20
+        for key, ref_value in ref.items():
+            assert key in new, key
+            expected = _as_float(ref_value)
+            if expected is None:
+                assert new[key] == ref_value, key
+            else:
+                got = _as_float(new[key])
+                assert got is not None and abs(got - expected) <= REL_TOL * abs(expected), key

@@ -254,7 +254,6 @@ class TestVerifyStructure:
         assert sr.obstruction_idem_residual <= 1e-8
         assert sr.obstruction_on_image_residual <= 1e-8
         assert sr.kernel_fix_residual <= 1e-8
-        assert sr.ep_defect == 0.0
 
     def test_derivative_roundtrip_decreases_with_grid(self, sec4_rdata):
         vals = {}

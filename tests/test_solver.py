@@ -119,7 +119,7 @@ class TestFixedPointMap:
         x = DomainElement(rng.standard_normal(3), GridFn(rng.standard_normal((257, 3))))
         x1 = fixed_point_map(sec4_spec, sec4_rdata, x)
         gap = sec4_rdata.matrix @ x1.coef - boundary_functional(x1.source, sec4_spec)
-        assert np.linalg.norm(sec4_rdata.range_proj @ gap) <= 1e-8
+        assert np.linalg.norm(sec4_rdata.matrix @ sec4_rdata.pinv @ gap) <= 1e-8
 
     def test_damped_iteration_contracts(self, sec4_spec, sec4_rdata):
         report = solve(sec4_spec, sec4_rdata, SolveOptions(relax=0.5, max_iter=60))
@@ -177,7 +177,6 @@ class TestSolve:
         assert r.right_bc_defect <= 1e-5
         assert r.solvability_defect <= 1e-6
         assert r.pde_residual <= 1e-2
-        assert r.left_bc_defect == 0.0
 
     def test_deterministic(self, sec4_spec, sec4_rdata):
         r1 = solve(sec4_spec, sec4_rdata)
