@@ -64,6 +64,7 @@ from .resonance import (
     partial_inverse,
     project_kernel,
     project_obstruction,
+    split_obstruction,
     verify_structure,
 )
 from .solver import (

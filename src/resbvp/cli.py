@@ -169,7 +169,7 @@ def _builtin_problem(name: str, k: int, grid_n: int) -> tuple[ProblemSpec, Growt
     and its report label: the one place a builtin is built."""
     if name not in BUILTINS:
         raise ConfigError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
-    _validate_grid(0.25, grid_n)  # every builtin fixes xi = 1/4
+    _validate_grid(BUILTINS[name].xi, grid_n)
     return BUILTINS[name].build(k, grid_n), BUILTINS[name].growth(), f"builtin:{name}"
 
 
@@ -229,12 +229,12 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         _reject_ignored(path, "rhs", rhs_sec, rhs_keys, why)
         k = ival(operator, "k", 1)
         grid_n = ival(problem, "grid_n", 256)
-        alpha = fval(problem, "alpha", 1.5)
-        xi = fval(problem, "xi", 0.25)
-        for key, value, fixed in (("alpha", alpha, 1.5), ("xi", xi, 0.25)):
-            if abs(value - fixed) > 1e-12:
+        builtin = BUILTINS[op_builtin]
+        for key, fixed in (("alpha", builtin.alpha), ("xi", builtin.xi)):
+            if abs(fval(problem, key, fixed) - fixed) > 1e-12:
                 raise ConfigError(
-                    f"{at(problem, key)} builtin {op_builtin!r} fixes alpha = 1.5 and xi = 0.25"
+                    f"{at(problem, key)} builtin {op_builtin!r} fixes "
+                    f"alpha = {builtin.alpha} and xi = {builtin.xi}"
                 )
         if k < 1:
             raise ConfigError(f"{at(operator, 'k')} block count must be positive, got {k}")

@@ -117,8 +117,6 @@ class GrowthSampleReport:
     samples: int
     violations: int
     worst_slack: float
-    worst_t: float
-    worst_u: np.ndarray
     worst_v: np.ndarray
 
     @property
@@ -160,8 +158,6 @@ def check_growth_bound(
         samples=sample_count,
         violations=int(np.count_nonzero(slack < 0)),
         worst_slack=float(slack[worst]),
-        worst_t=float(t[worst]),
-        worst_u=u[worst],
         worst_v=v[worst],
     )
 
@@ -215,10 +211,6 @@ class TraceDefectProbe:
     samples: int
     min_defect: float
     max_defect: float
-
-    @property
-    def evidence(self) -> bool:
-        return self.min_defect > 0.0
 
 
 def probe_large_trace_defect(

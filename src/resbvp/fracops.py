@@ -156,10 +156,6 @@ class PowerFn:
     def dim(self) -> int:
         return self.coef.shape[0]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coef.any()
-
     def sample(self, nodes: np.ndarray) -> np.ndarray:
         """Evaluate on given nodes; refuses singular powers at t = 0."""
         t = np.asarray(nodes, dtype=float)

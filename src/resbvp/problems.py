@@ -92,7 +92,8 @@ def build_section4(k: int, grid_n: int = 256) -> ProblemSpec:
         raise ValueError(f"grid_n must be a multiple of 4 so xi = 1/4 is a node, got {grid_n}")
     n = 3 * k
     a_op = np.kron(np.eye(k), np.diag(BLOCK_DIAGONAL))
-    return ProblemSpec(ord=Order(1.5), xi=0.25, a_op=a_op, rhs=_section4_rhs(n), grid_n=grid_n)
+    fixed = BUILTINS["section4"]
+    return ProblemSpec(ord=Order(fixed.alpha), xi=fixed.xi, a_op=a_op, rhs=_section4_rhs(n), grid_n=grid_n)
 
 
 def section4_growth(radius: float = 1e3) -> GrowthSpec:
@@ -143,7 +144,8 @@ def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report
     Matrix entries and margin numbers are checked by arithmetic; the two
     beta-moment constants by product quadrature at the given grid; the
     kernel-feedback sign by sampling under ``seed`` at min(grid_n,
-    PROBE_GRID_CAP); the solve runs at min(grid_n, SOLVE_GRID_CAP).
+    PROBE_GRID_CAP); the solve runs at min(grid_n, SOLVE_GRID_CAP).  R
+    does not depend on the grid, so one resonance build serves all three.
     Failures are enumerated in the report, never thrown.
     """
     spec = build_section4(k, grid_n)
@@ -219,8 +221,7 @@ def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report
     )
 
     solve_spec = build_section4(k, min(grid_n, SOLVE_GRID_CAP))
-    solve_rdata = build_resonance(solve_spec)
-    report = solve(solve_spec, solve_rdata, SolveOptions(relax=0.5, max_iter=200))
+    report = solve(solve_spec, rdata, SolveOptions(relax=0.5, max_iter=200))
 
     notes = (
         "range of the resonance matrix is span{e1, e2} per block (computed "
@@ -251,7 +252,6 @@ class SpecialConditionsReport:
     projection splitting handles the general case.
     """
 
-    block_squared: np.ndarray
     scaled: np.ndarray
     scaled_squared: np.ndarray
 
@@ -270,7 +270,6 @@ def check_special_conditions_fail() -> SpecialConditionsReport:
     b = np.diag(BLOCK_DIAGONAL)
     scaled = 0.5 * b  # xi^(alpha-1) = (1/4)^(1/2) = 1/2
     return SpecialConditionsReport(
-        block_squared=b @ b,
         scaled=scaled,
         scaled_squared=scaled @ scaled,
     )
@@ -278,6 +277,10 @@ def check_special_conditions_fail() -> SpecialConditionsReport:
 
 @dataclass(frozen=True)
 class BuiltinProblem:
+    """A builtin's fixed alpha and xi, builder, growth envelope and rhs factory."""
+
+    alpha: float
+    xi: float
     build: Callable[[int, int], ProblemSpec]
     growth: Callable[[], GrowthSpec]
     rhs_factory: Callable[[int], RhsCallback]
@@ -285,6 +288,8 @@ class BuiltinProblem:
 
 BUILTINS: dict[str, BuiltinProblem] = {
     "section4": BuiltinProblem(
+        alpha=1.5,
+        xi=0.25,
         build=build_section4,
         growth=section4_growth,
         rhs_factory=_section4_rhs,

@@ -64,6 +64,7 @@ __all__ = [
     "boundary_functional",
     "boundary_functional_power",
     "project_obstruction",
+    "split_obstruction",
     "project_kernel",
     "partial_inverse",
     "evaluate",
@@ -278,17 +279,28 @@ def boundary_functional_power(p: PowerFn, spec: ProblemSpec) -> np.ndarray:
 
 
 def project_obstruction(y: GridFn | PowerFn, spec: ProblemSpec, rdata: ResonanceData) -> PowerFn:
-    """Project y onto the unsolvable directions, as an exact power function.
+    """Q y = kappa (I - R R^+) h(y) t^(alpha-1), as an exact power function.
 
-    Returns kappa (I - R R^+) h(y) * t^(alpha-1) with the idempotency
-    scale kappa = Gamma(2a)/(Gamma(a)(xi^a - 1)).  Power inputs take the
-    exact beta-integral route, grid inputs the product quadrature.
+    Power inputs take the exact beta-integral route; for grid inputs this
+    is the q of ``split_obstruction``.
     """
     if isinstance(y, PowerFn):
-        hy = boundary_functional_power(y, spec)
-    else:
-        hy = boundary_functional(y, spec)
-    return PowerFn(rdata.obstruction(hy), spec.ord.alpha_m1)
+        return PowerFn(rdata.obstruction(boundary_functional_power(y, spec)), spec.ord.alpha_m1)
+    return split_obstruction(y, spec, rdata)[0]
+
+
+def split_obstruction(
+    w: GridFn, spec: ProblemSpec, rdata: ResonanceData
+) -> tuple[PowerFn, np.ndarray, GridFn]:
+    """Split w into Q w and the solvable rest (I - Q) w with one sweep of h(w).
+
+    Returns (q, h_rest, rest): q = Q w, an exact power function; h_rest =
+    h(w) - h(q) with h(q) on the exact beta-integral route, so Q of the
+    rest vanishes to rounding; rest = w - q on w's grid.
+    """
+    hw = boundary_functional(w, spec)
+    q = PowerFn(rdata.obstruction(hw), spec.ord.alpha_m1)
+    return q, hw - boundary_functional_power(q, spec), GridFn(w.values - q.sample(w.nodes))
 
 
 def project_kernel(x: DomainElement, rdata: ResonanceData) -> DomainElement:
@@ -356,9 +368,9 @@ def verify_structure(
 
     (a) (I - RR^+)(xi^(2a-1) A - I) = (xi^a - 1)(I - RR^+) in matrix
         algebra; (b) idempotency of the obstruction projection;
-    (c) the projection annihilates constructed solvable data;
+    (c) it annihilates the solvable rest of ``split_obstruction``;
     (d) kernel power elements are fixed up to an ep_defect-sized error;
-    (e) differentiating the partial inverse returns the data
+    (e) differentiating the partial inverse of that rest returns it
         (numerical derivative, loose grid tolerance).
     """
     rng = np.random.default_rng(seed)
@@ -381,18 +393,13 @@ def verify_structure(
         # node-wise noise.
         c0, c1, c2 = rng.standard_normal((3, n))
         y = GridFn(c0 + np.outer(t, c1) + np.outer(np.sin(3.0 * t), c2))
-        q = project_obstruction(y, spec, rdata)
+        q, h_member, member = split_obstruction(y, spec, rdata)
         qq = project_obstruction(q, spec, rdata)
         idem = max(idem, float(np.linalg.norm(qq.coef - q.coef)))
-        # Solvable member constructed as y minus its obstruction part; the
-        # power part stays on the exact route so the projection of the
-        # pair is evaluated without quadrature error.
-        h_member = boundary_functional(y, spec) - boundary_functional_power(q, spec)
+        # Q of the solvable member y - q vanishes.  Its round trip only
+        # re-differentiates the I^alpha part: the power part of the partial
+        # inverse differentiates to zero exactly.
         on_image = max(on_image, float(np.linalg.norm(rdata.obstruction(h_member))))
-        # Derivative round trip on the grid realization of the member.
-        # The power part of the partial inverse differentiates to zero
-        # exactly, so only the I^alpha part is re-differentiated.
-        member = GridFn(y.values - q.sample(y.nodes))
         dx = frac_derivative(frac_integral(member, alpha), spec.ord)
         res = np.abs(dx.values - member.values)
         left_inv = max(left_inv, float(res[2 : ngrid - 1].max()))

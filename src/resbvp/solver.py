@@ -31,9 +31,9 @@ from .resonance import (
     ProblemSpec,
     ResonanceData,
     boundary_functional,
-    boundary_functional_power,
     derivative_trace,
     evaluate,
+    split_obstruction,
 )
 
 __all__ = [
@@ -143,18 +143,14 @@ def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
 def fixed_point_map(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> DomainElement:
     """One application of Phi(x) = P x + J Q N x + K (I - Q) N x.
 
-    The obstruction part of N x is subtracted as an exact power function
-    before the partial inverse is applied; its boundary functional uses
-    the beta-integral route, so the solvability defect of the output is
-    confined to the (vanishing-at-fixpoint) obstruction coordinates.
+    ``split_obstruction`` splits N x once: J lifts Q N x, an exact power
+    function, and the partial inverse takes the solvable rest, with
+    h(Q N x) on the beta-integral route, so the output's solvability
+    defect lies in the obstruction coordinates, which vanish at a fixpoint.
     """
-    w = apply_rhs(spec, x)
-    hw = boundary_functional(w, spec)
-    q = PowerFn(rdata.obstruction(hw), spec.ord.alpha_m1)
-    h_solvable = hw - boundary_functional_power(q, spec)
-    coef = rdata.kernel_proj @ x.coef + rdata.lift @ q.coef + rdata.pinv @ h_solvable
-    source = GridFn(w.values - q.sample(w.nodes))
-    return DomainElement(coef, source)
+    q, h_rest, rest = split_obstruction(apply_rhs(spec, x), spec, rdata)
+    coef = rdata.kernel_proj @ x.coef + rdata.lift @ q.coef + rdata.pinv @ h_rest
+    return DomainElement(coef, rest)
 
 
 def _diff_norm(a: DomainElement, b: DomainElement) -> float:

@@ -148,7 +148,6 @@ class TestTraceDefectProbe:
     def test_section4_positive_defect(self, sec4_spec, sec4_rdata):
         probe = probe_large_trace_defect(sec4_spec, sec4_rdata, trace_level=1.0, sample_count=100, seed=0)
         assert probe.min_defect > 0.0
-        assert probe.evidence
 
     def test_zero_rhs_no_evidence(self, sec4_rdata):
         spec = ProblemSpec(
@@ -156,7 +155,6 @@ class TestTraceDefectProbe:
         )
         probe = probe_large_trace_defect(spec, sec4_rdata, 1.0, 50, seed=0)
         assert probe.min_defect == 0.0
-        assert not probe.evidence
 
     def test_constant_forcing_constant_defect(self, sec4_rdata):
         # f = g constant: h(g) = (A xi^alpha - I) g / gamma(alpha + 1), so

@@ -172,7 +172,7 @@ class TestSpecialConditions:
     def test_block_square_entries(self):
         rep = check_special_conditions_fail()
         np.testing.assert_allclose(
-            np.diag(rep.block_squared), [9.0 / 4.0, 49.0 / 16.0, 4.0], rtol=1e-15
+            np.diag(4.0 * rep.scaled_squared), [9.0 / 4.0, 49.0 / 16.0, 4.0], rtol=1e-15
         )
 
     def test_scaled_square_differs_from_scaled(self):

@@ -4,17 +4,19 @@ The files under ``tests/data`` were written by
 
     resbvp solve --builtin section4 --k 1 --grid 256
     resbvp check-hypotheses --builtin section4 --grid 256
+    resbvp analyze --builtin section4 --grid 256
 
 ``solution.csv`` must stay within 1e-12 of each column's scale (a column
 that is identically zero stays zero), the discrete solve outcome must
-match exactly, and every figure of the check-hypotheses report must stay
-within 1e-12 relative.  Rounding-level drift passes; a changed solution
+match exactly, and every figure of the check-hypotheses and analyze
+reports must stay within 1e-12 relative.  Rounding-level drift passes; a changed solution
 does not.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from resbvp.cli import main
 
@@ -64,9 +66,17 @@ class TestSection4Outputs:
         }
         assert {key: entries.get(key) for key in expected} == expected
 
-    def test_check_hypotheses_matches_recorded_figures(self, tmp_path):
-        assert main(["check-hypotheses", "--builtin", "section4", "--grid", "256", "--out", str(tmp_path)]) == 0
-        ref = _report_entries((DATA / "section4_n256_hypotheses_report.txt").read_text())
+    @pytest.mark.parametrize(
+        "args, recorded",
+        [
+            (["check-hypotheses"], "section4_n256_hypotheses_report.txt"),
+            (["analyze"], "section4_n256_analyze_report.txt"),
+        ],
+        ids=["hyp", "analyze"],
+    )
+    def test_check_hypotheses_matches_recorded_figures(self, tmp_path, args, recorded):
+        assert main([*args, "--builtin", "section4", "--grid", "256", "--out", str(tmp_path)]) == 0
+        ref = _report_entries((DATA / recorded).read_text())
         new = _report_entries((tmp_path / "report.txt").read_text())
         assert len(ref) > 20
         for key, ref_value in ref.items():

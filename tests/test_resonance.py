@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import resbvp.resonance
 from resbvp import (
     DomainElement,
     GridFn,
@@ -16,11 +17,13 @@ from resbvp import (
     build_section4,
     derivative_trace,
     evaluate,
+    fixed_point_map,
     frac_integral,
     gamma,
     partial_inverse,
     project_kernel,
     project_obstruction,
+    split_obstruction,
     verify_structure,
 )
 from conftest import make_resonant_spec
@@ -160,6 +163,41 @@ class TestObstructionProjection:
         q = project_obstruction(PowerFn(c, 0.5), sec4_spec, sec4_rdata)
         np.testing.assert_allclose(q.coef, c, atol=1e-14)
         assert q.exponent == pytest.approx(0.5)
+
+
+class TestSplitObstruction:
+    def test_parts_of_one_split(self, sec4_spec, sec4_rdata):
+        rng = np.random.default_rng(4)
+        w = GridFn(rng.standard_normal((257, 3)))
+        q, h_rest, rest = split_obstruction(w, sec4_spec, sec4_rdata)
+        np.testing.assert_array_equal(q.coef, project_obstruction(w, sec4_spec, sec4_rdata).coef)
+        assert q.exponent == sec4_spec.ord.alpha_m1
+        np.testing.assert_array_equal(
+            h_rest, boundary_functional(w, sec4_spec) - boundary_functional_power(q, sec4_spec)
+        )
+        np.testing.assert_array_equal(rest.values, w.values - q.sample(w.nodes))
+        assert np.linalg.norm(sec4_rdata.obstruction(h_rest)) <= 1e-13
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """Calls of the boundary functional, counted where the split reads it."""
+        calls = []
+        original = resbvp.resonance.boundary_functional
+
+        def counting(y, spec):
+            calls.append(y.n_intervals)
+            return original(y, spec)
+
+        monkeypatch.setattr(resbvp.resonance, "boundary_functional", counting)
+        return calls
+
+    def test_verify_structure_sweeps_once_per_sample(self, sweeps, sec4_spec, sec4_rdata):
+        verify_structure(sec4_spec, sec4_rdata, samples=5, seed=0)
+        assert len(sweeps) == 5
+
+    def test_fixed_point_map_sweeps_once(self, sweeps, sec4_spec, sec4_rdata):
+        fixed_point_map(sec4_spec, sec4_rdata, DomainElement.zero(sec4_spec.grid_n, sec4_spec.dim))
+        assert sweeps == [sec4_spec.grid_n]
 
 
 class TestKernelProjection:
