@@ -17,7 +17,6 @@ from .conditions import (
     check_all,
     check_growth_bound,
     check_growth_margins,
-    constant_growth,
     probe_kernel_sign,
     probe_large_trace_defect,
 )

@@ -52,7 +52,6 @@ from .conditions import (
     MarginsReport,
     check_all,
     check_growth_margins,
-    constant_growth,
 )
 from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
@@ -294,7 +293,7 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
 
         # Exact envelope for the affine form: spectral norms and the
         # profile sup (every named profile is bounded by 1 on [0, 1]).
-        growth = constant_growth(
+        growth = GrowthSpec(
             lin_u=operator_norm(c_mat),
             lin_v=operator_norm(d_mat),
             offset=math.sqrt(n),
@@ -425,12 +424,13 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.builtin and cfg.config_path:
             raise ConfigError("--builtin and --config cannot be used together; pass one problem source")
+        opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter)
         if cfg.command == "verify-example":
             if cfg.config_path:
                 raise ConfigError("verify-example runs on a builtin; pass --builtin NAME")
             grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
             spec, _, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
-            report = verify_section4(cfg.k, grid_n, seed=cfg.seed)
+            report = verify_section4(cfg.k, grid_n, seed=cfg.seed, opts=opts)
             probe_n, solve_n = min(grid_n, PROBE_GRID_CAP), min(grid_n, SOLVE_GRID_CAP)
             lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}"]
             lines += [f"grids: quadrature={grid_n} probe={probe_n} solve={solve_n}", ""]
@@ -470,7 +470,7 @@ def run(cfg: RunConfig) -> int:
                     "",
                 ]
             elif cfg.command == "solve":
-                report = solve(spec, rdata, SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter))
+                report = solve(spec, rdata, opts)
                 lines += _solve_lines(report)
                 _write_solution_csv(out / "solution.csv", spec.ord, report.element)
                 if not report.converged:

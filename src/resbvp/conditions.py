@@ -11,7 +11,6 @@ labeled as such, deterministic under a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .solver import apply_rhs, eval_rhs
 
 __all__ = [
     "GrowthSpec",
-    "constant_growth",
     "GrowthSampleReport",
     "MarginsReport",
     "TraceDefectProbe",
@@ -35,66 +33,26 @@ __all__ = [
     "check_all",
 ]
 
-ScalarFn = Callable[[float], float]
-
 
 @dataclass(frozen=True)
 class GrowthSpec:
-    """Envelope || f(t,u,v) || <= lin_u(t)|u| + lin_v(t)|v| + sub_u(t)|u|^exp_u + sub_v(t)|v|^exp_v + offset(t).
+    """Envelope || f(t,u,v) || <= lin_u ||u|| + lin_v ||v|| + offset, three constants.
 
-    Norms are l2 norms of u, v.  The five L1 norms are supplied by the
-    caller so closed-form specifications stay exact.
+    Norms are l2 norms of u, v.  The margins read lin_u and lin_v, the
+    sampler reads the whole envelope: both see the same three numbers.
     """
 
-    lin_u: ScalarFn
-    lin_v: ScalarFn
-    sub_u: ScalarFn
-    sub_v: ScalarFn
-    offset: ScalarFn
-    l1_lin_u: float
-    l1_lin_v: float
-    l1_sub_u: float
-    l1_sub_v: float
-    l1_offset: float
-    exp_u: float = 0.0
-    exp_v: float = 0.0
+    lin_u: float
+    lin_v: float
+    offset: float = 0.0
 
     def __post_init__(self) -> None:
-        norms = (self.l1_lin_u, self.l1_lin_v, self.l1_sub_u, self.l1_sub_v, self.l1_offset)
-        if any(not np.isfinite(v) or v < 0 for v in norms):
-            raise ValueError("L1 norms must be finite and nonnegative")
-        if not (0.0 <= self.exp_u < 1.0 and 0.0 <= self.exp_v < 1.0):
-            raise ValueError("sublinear exponents must lie in [0, 1)")
+        if any(not np.isfinite(v) or v < 0 for v in (self.lin_u, self.lin_v, self.offset)):
+            raise ValueError("growth coefficients must be finite and nonnegative")
 
-    def envelope(self, t: float, nu: float, nv: float) -> float:
-        return (
-            self.lin_u(t) * nu
-            + self.lin_v(t) * nv
-            + self.sub_u(t) * nu**self.exp_u
-            + self.sub_v(t) * nv**self.exp_v
-            + self.offset(t)
-        )
-
-
-def constant_growth(
-    lin_u: float, lin_v: float, sub_u: float = 0.0, sub_v: float = 0.0, offset: float = 0.0,
-    exp_u: float = 0.0, exp_v: float = 0.0,
-) -> GrowthSpec:
-    """Growth spec with constant coefficient functions (exact L1 norms)."""
-    return GrowthSpec(
-        lin_u=lambda t: lin_u,
-        lin_v=lambda t: lin_v,
-        sub_u=lambda t: sub_u,
-        sub_v=lambda t: sub_v,
-        offset=lambda t: offset,
-        l1_lin_u=lin_u,
-        l1_lin_v=lin_v,
-        l1_sub_u=sub_u,
-        l1_sub_v=sub_v,
-        l1_offset=offset,
-        exp_u=exp_u,
-        exp_v=exp_v,
-    )
+    def envelope(self, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+        """The envelope at the norms nu = ||u||, nv = ||v|| (arrays or floats)."""
+        return self.lin_u * nu + self.lin_v * nv + self.offset
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -127,14 +85,14 @@ class GrowthSampleReport:
 def check_growth_bound(
     spec: ProblemSpec,
     growth: GrowthSpec,
-    sample_count: int = 10_000,
+    sample_count: int,
     seed: int = 0,
 ) -> GrowthSampleReport:
     """Sample (t, u, v) and test || f(t,u,v) || against the envelope.
 
     t is uniform on [0,1]; u and v have uniform random directions with
-    norms log-uniform in [1e-3, 1e3].  f is evaluated in one call on all
-    samples; a wrongly shaped or non-finite value raises
+    norms log-uniform in [1e-3, 1e3].  f and the envelope are evaluated
+    once on all samples; a wrongly shaped or non-finite value of f raises
     ``RhsEvaluationError``.
     """
     if sample_count < 1:
@@ -144,14 +102,13 @@ def check_growth_bound(
     t = np.empty(sample_count)
     u = np.empty((sample_count, n))
     v = np.empty((sample_count, n))
-    envelope = np.empty(sample_count)
     for i in range(sample_count):
-        t[i] = ti = rng.uniform()
+        t[i] = rng.uniform()
         u[i] = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
         v[i] = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
-        envelope[i] = growth.envelope(ti, float(np.linalg.norm(u[i])), float(np.linalg.norm(v[i])))
     f = eval_rhs(spec, t, u, v)
     # Dot-product row norms are bit-equal to np.linalg.norm per row; axis=1 is not.
+    envelope = growth.envelope(np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(v, v)))
     slack = envelope - np.sqrt(np.vecdot(f, f))
     worst = int(np.argmin(slack))
     return GrowthSampleReport(
@@ -189,11 +146,14 @@ class MarginsReport:
 
 
 def check_growth_margins(ord: Order, rdata: ResonanceData, growth: GrowthSpec) -> MarginsReport:
-    """Pure arithmetic on Gamma(alpha), ||I - R^+ R|| and the two L1 norms."""
+    """Pure arithmetic on Gamma(alpha), ||I - R^+ R|| and lin_u, lin_v.
+
+    The coefficients are constant on [0, 1], so each is its own L1 norm.
+    """
     lhs = gamma(ord.alpha)
     knorm = operator_norm(rdata.kernel_proj) + 1.0
-    rhs_u = knorm * growth.l1_lin_u
-    rhs_v = knorm * growth.l1_lin_v
+    rhs_u = knorm * growth.lin_u
+    rhs_v = knorm * growth.lin_v
     denom = (lhs - rhs_u) * (lhs - rhs_v)
     quotient = float("inf") if denom <= 0 else (rhs_u * rhs_v) / denom
     return MarginsReport(lhs=lhs, rhs_u=rhs_u, rhs_v=rhs_v, quotient=quotient)
@@ -316,19 +276,15 @@ class ConditionsReport:
     kernel_probe: KernelSignProbe
 
 
-def check_all(
-    spec: ProblemSpec,
-    rdata: ResonanceData,
-    growth: GrowthSpec,
-    trace_level: float = 1.0,
-    kernel_level: float = 1.0,
-    sample_count: int = 100,
-    growth_sample_count: int = 2000,
-    seed: int = 0,
-) -> ConditionsReport:
-    """Run the margin arithmetic plus all three sampling probes."""
+def check_all(spec: ProblemSpec, rdata: ResonanceData, growth: GrowthSpec, seed: int = 0) -> ConditionsReport:
+    """Run the margin arithmetic plus all three sampling probes.
+
+    The margins and the growth sampler read the same envelope; the growth
+    sampler draws 2000 points, the trace and kernel probes 100 each at
+    level 1.
+    """
     margins = check_growth_margins(spec.ord, rdata, growth)
-    growth_rep = check_growth_bound(spec, growth, growth_sample_count, seed)
-    trace = probe_large_trace_defect(spec, rdata, trace_level, sample_count, seed + 1)
-    kern = probe_kernel_sign(spec, rdata, kernel_level, sample_count, seed + 2)
+    growth_rep = check_growth_bound(spec, growth, 2000, seed)
+    trace = probe_large_trace_defect(spec, rdata, 1.0, 100, seed + 1)
+    kern = probe_kernel_sign(spec, rdata, 1.0, 100, seed + 2)
     return ConditionsReport(margins=margins, growth_samples=growth_rep, trace_probe=trace, kernel_probe=kern)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import GrowthSpec, MarginsReport, check_growth_margins, constant_growth, probe_kernel_sign
+from .conditions import GrowthSpec, MarginsReport, check_growth_margins, probe_kernel_sign
 from .fracops import GridFn, Order, frac_integral, gamma
 from .resonance import (
     DomainElement,
@@ -107,7 +107,7 @@ def section4_growth(radius: float = 1e3) -> GrowthSpec:
     and reported by the sampler.
     """
     a = 1.0 / (5.0 * math.sqrt(3.0))
-    return constant_growth(lin_u=a, lin_v=a, offset=(radius + 1.0 / radius + 1.0) / 10.0)
+    return GrowthSpec(a, a, offset=(radius + 1.0 / radius + 1.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,18 @@ class Section4Report:
     notes: tuple[str, ...]
 
 
-def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report:
+def verify_section4(
+    k: int, grid_n: int = 4096, seed: int = 0, opts: SolveOptions = SolveOptions()
+) -> Section4Report:
     """Reproduce the recorded constants of the builtin configuration.
 
     Matrix entries and margin numbers are checked by arithmetic; the two
     beta-moment constants by product quadrature at the given grid; the
     kernel-feedback sign by sampling under ``seed`` at min(grid_n,
-    PROBE_GRID_CAP); the solve runs at min(grid_n, SOLVE_GRID_CAP).  R
-    does not depend on the grid, so one resonance build serves all three.
-    Failures are enumerated in the report, never thrown.
+    PROBE_GRID_CAP); the solve runs under ``opts`` at min(grid_n,
+    SOLVE_GRID_CAP).  R does not depend on the grid, so one resonance
+    build serves all three.  Failures are enumerated in the report, never
+    thrown.
     """
     spec = build_section4(k, grid_n)
     rdata = build_resonance(spec)
@@ -221,7 +224,7 @@ def verify_section4(k: int, grid_n: int = 4096, seed: int = 0) -> Section4Report
     )
 
     solve_spec = build_section4(k, min(grid_n, SOLVE_GRID_CAP))
-    report = solve(solve_spec, rdata, SolveOptions(relax=0.5, max_iter=200))
+    report = solve(solve_spec, rdata, opts)
 
     notes = (
         "range of the resonance matrix is span{e1, e2} per block (computed "

@@ -278,15 +278,13 @@ def boundary_functional_power(p: PowerFn, spec: ProblemSpec) -> np.ndarray:
     return pr * (spec.xi ** (p.exponent + alpha) * (spec.a_op @ p.coef) - p.coef)
 
 
-def project_obstruction(y: GridFn | PowerFn, spec: ProblemSpec, rdata: ResonanceData) -> PowerFn:
-    """Q y = kappa (I - R R^+) h(y) t^(alpha-1), as an exact power function.
+def project_obstruction(p: PowerFn, spec: ProblemSpec, rdata: ResonanceData) -> PowerFn:
+    """Q p = kappa (I - R R^+) h(p) t^(alpha-1) of a power function, exact.
 
-    Power inputs take the exact beta-integral route; for grid inputs this
-    is the q of ``split_obstruction``.
+    h(p) takes the beta-integral route; Q of a grid function is the q of
+    ``split_obstruction``.
     """
-    if isinstance(y, PowerFn):
-        return PowerFn(rdata.obstruction(boundary_functional_power(y, spec)), spec.ord.alpha_m1)
-    return split_obstruction(y, spec, rdata)[0]
+    return PowerFn(rdata.obstruction(boundary_functional_power(p, spec)), spec.ord.alpha_m1)
 
 
 def split_obstruction(

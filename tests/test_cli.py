@@ -38,6 +38,13 @@ class TestVerifyExampleFlow:
         lines = (out / "report.txt").read_text().splitlines()
         assert "grids: quadrature=512 probe=512 solve=256" in lines
 
+    def test_solve_reads_max_iter(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(["verify-example", "--grid", "256", "--max-iter", "5", "--out", str(out)])
+        assert code == 2
+        lines = (out / "report.txt").read_text().splitlines()
+        assert "iterations               : 5" in lines
+
 
 class TestSolveFlow:
     def test_section4_solve_exit_zero(self, tmp_path):
@@ -113,7 +120,7 @@ class TestConfigFiles:
         )
         spec, growth, _ = parse_config(str(path))
         assert not spec.rhs(np.array([0.3]), np.ones((1, 2)), np.ones((1, 2))).any()
-        assert growth.l1_lin_u == 0.0
+        assert growth.lin_u == 0.0
 
     def test_affine_full_form(self, tmp_path):
         save_matrix_csv(tmp_path / "a.csv", np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -139,8 +146,8 @@ class TestConfigFiles:
         v = np.array([3.0, 4.0])
         expected = 0.5 * u + 0.25 * v[::-1] + 1.0
         np.testing.assert_allclose(spec.rhs(np.array([0.2]), u[None], v[None]), [expected])
-        assert growth.l1_lin_u == pytest.approx(0.5)
-        assert growth.l1_lin_v == pytest.approx(0.25)
+        assert growth.lin_u == pytest.approx(0.5)
+        assert growth.lin_v == pytest.approx(0.25)
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = self.write_config(
@@ -252,6 +259,23 @@ class TestExitCodes:
         cfg.write_text("[operator]\nbuiltin = section4\nk = 1\n[rhs]\nbuiltin = section4\n")
         spec, growth, _ = parse_config(str(cfg))
         assert spec.dim == 3 and growth is not None
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("analyze", ["--damping", "7"]),
+            ("check-hypotheses", ["--damping", "0"]),
+            ("solve", ["--max-iter", "0"]),
+            ("verify-example", ["--max-iter", "-3"]),
+        ],
+        ids=["analyze-damping", "hypotheses-damping", "solve-max-iter", "verify-max-iter"],
+    )
+    def test_bad_solve_option_exits_three_on_every_command(self, tmp_path, command, flags):
+        out = tmp_path / "r"
+        code = run_cli([command, "--builtin", "section4", "--grid", "64", *flags, "--out", str(out)])
+        assert code == 3
+        assert "error: " in (out / "report.txt").read_text()
+        assert not (out / "solution.csv").exists()
 
     def test_missing_source_exits_three(self, tmp_path):
         code = run_cli(["analyze", "--out", str(tmp_path / "r")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resbvp import (
+    GrowthSpec,
     Order,
     ProblemSpec,
     RhsEvaluationError,
@@ -11,7 +12,6 @@ from resbvp import (
     build_section4,
     check_growth_bound,
     check_growth_margins,
-    constant_growth,
     gamma,
     probe_kernel_sign,
     probe_large_trace_defect,
@@ -19,6 +19,25 @@ from resbvp import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+class TestGrowthSpec:
+    @pytest.mark.parametrize("field", ["lin_u", "lin_v", "offset"])
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GrowthSpec(**{"lin_u": 1.0, "lin_v": 1.0, "offset": 1.0, field: bad})
+
+    def test_offset_defaults_to_zero(self):
+        assert GrowthSpec(0.5, 0.25) == GrowthSpec(0.5, 0.25, offset=0.0)
+
+    def test_envelope_on_arrays_equals_per_row_formula(self):
+        rng = np.random.default_rng(0)
+        g = GrowthSpec(1.0 / (5.0 * math.sqrt(3.0)), 0.3, offset=100.1001)
+        nu = 10.0 ** rng.uniform(-3, 3, 500)
+        nv = 10.0 ** rng.uniform(-3, 3, 500)
+        rows = [g.lin_u * float(a) + g.lin_v * float(b) + g.offset for a, b in zip(nu, nv)]
+        np.testing.assert_array_equal(g.envelope(nu, nv), rows)
 
 
 class TestGrowthMargins:
@@ -36,7 +55,7 @@ class TestGrowthMargins:
         assert m.ok
 
     def test_zero_growth_trivially_ok(self, sec4_rdata):
-        m = check_growth_margins(Order(1.5), sec4_rdata, constant_growth(0.0, 0.0))
+        m = check_growth_margins(Order(1.5), sec4_rdata, GrowthSpec(0.0, 0.0))
         assert m.rhs_u == 0.0 and m.rhs_v == 0.0
         assert m.quotient == 0.0
         assert m.ok
@@ -44,7 +63,7 @@ class TestGrowthMargins:
     def test_boundary_case_fails_strict_inequality(self, sec4_rdata):
         # || lin_u ||_L1 = gamma(alpha): lhs > rhs fails (knorm + 1 >= 2
         # multiplies it past gamma(alpha)).
-        g = constant_growth(gamma(1.5), 0.0)
+        g = GrowthSpec(gamma(1.5), 0.0)
         m = check_growth_margins(Order(1.5), sec4_rdata, g)
         assert not m.ok
 
@@ -70,7 +89,7 @@ class TestGrowthBound:
         spec = ProblemSpec(
             Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros_like(u), 64
         )
-        rep = check_growth_bound(spec, constant_growth(0.0, 0.0), 500, seed=0)
+        rep = check_growth_bound(spec, GrowthSpec(0.0, 0.0), 500, seed=0)
         assert rep.ok
         assert rep.worst_slack >= 0.0
 
@@ -81,7 +100,7 @@ class TestGrowthBound:
             return f
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), quad, 64)
-        rep = check_growth_bound(spec, constant_growth(1.0, 1.0, offset=10.0), 2000, seed=0)
+        rep = check_growth_bound(spec, GrowthSpec(1.0, 1.0, offset=10.0), 2000, seed=0)
         assert not rep.ok
         assert rep.violations > 0
 
@@ -116,14 +135,14 @@ class TestGrowthBound:
             Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.full_like(u, np.nan), 64
         )
         with pytest.raises(RhsEvaluationError, match="non-finite"):
-            check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
+            check_growth_bound(spec, GrowthSpec(1.0, 1.0), 10, seed=0)
 
     def test_wrong_shape_rhs_raises(self):
         spec = ProblemSpec(
             Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: np.zeros(2), 64
         )
         with pytest.raises(RhsEvaluationError, match=r"shape \(2,\), expected \(10, 3\)"):
-            check_growth_bound(spec, constant_growth(1.0, 1.0), 10, seed=0)
+            check_growth_bound(spec, GrowthSpec(1.0, 1.0), 10, seed=0)
 
     def test_one_rhs_call_for_all_samples(self):
         calls = []
@@ -133,7 +152,7 @@ class TestGrowthBound:
             return np.zeros_like(u)
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), counting, 64)
-        check_growth_bound(spec, constant_growth(1.0, 1.0), 37, seed=0)
+        check_growth_bound(spec, GrowthSpec(1.0, 1.0), 37, seed=0)
         assert calls == [((37,), (37, 3), (37, 3))]
 
     def test_deterministic_under_seed(self, sec4_spec):

@@ -191,10 +191,9 @@ class TestSpecialConditions:
 class TestGrowthSpecSection4:
     def test_tail_coefficient_value(self):
         g = section4_growth()
-        assert g.l1_lin_u == pytest.approx(1.0 / (5.0 * math.sqrt(3.0)), rel=1e-15)
-        assert g.l1_lin_u == g.l1_lin_v
-        assert g.l1_sub_u == 0.0 and g.l1_sub_v == 0.0
+        assert g.lin_u == pytest.approx(1.0 / (5.0 * math.sqrt(3.0)), rel=1e-15)
+        assert g.lin_u == g.lin_v
 
     def test_offset_family(self):
         g = section4_growth(radius=2.0)
-        assert g.offset(0.3) == pytest.approx((2.0 + 0.5 + 1.0) / 10.0)
+        assert g.offset == pytest.approx((2.0 + 0.5 + 1.0) / 10.0)
