@@ -27,6 +27,7 @@ from .fracops import (
     cumulative_integral,
     frac_derivative,
     frac_integral,
+    frac_integral_at,
     frac_integral_power,
     gamma,
     power_rule,

@@ -424,13 +424,17 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.builtin and cfg.config_path:
             raise ConfigError("--builtin and --config cannot be used together; pass one problem source")
+        if not (0.0 < cfg.damping <= 1.0):
+            raise ConfigError(f"--damping must lie in (0, 1], got {cfg.damping}")
+        if cfg.max_iter < 1:
+            raise ConfigError(f"--max-iter must be positive, got {cfg.max_iter}")
         opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter)
         if cfg.command == "verify-example":
             if cfg.config_path:
                 raise ConfigError("verify-example runs on a builtin; pass --builtin NAME")
             grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
-            spec, _, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
-            report = verify_section4(cfg.k, grid_n, seed=cfg.seed, opts=opts)
+            spec, growth, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
+            report = verify_section4(spec, growth, seed=cfg.seed, opts=opts)
             probe_n, solve_n = min(grid_n, PROBE_GRID_CAP), min(grid_n, SOLVE_GRID_CAP)
             lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}"]
             lines += [f"grids: quadrature={grid_n} probe={probe_n} solve={solve_n}", ""]

@@ -21,13 +21,13 @@ the computed truth and the recorded target, marked failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .conditions import GrowthSpec, MarginsReport, check_growth_margins, probe_kernel_sign
-from .fracops import GridFn, Order, frac_integral, gamma
+from .fracops import GridFn, Order, frac_integral_at, gamma
 from .resonance import (
     DomainElement,
     ProblemSpec,
@@ -139,19 +139,20 @@ class Section4Report:
 
 
 def verify_section4(
-    k: int, grid_n: int = 4096, seed: int = 0, opts: SolveOptions = SolveOptions()
+    spec: ProblemSpec, growth: GrowthSpec, seed: int = 0, opts: SolveOptions = SolveOptions()
 ) -> Section4Report:
     """Reproduce the recorded constants of the builtin configuration.
 
-    Matrix entries and margin numbers are checked by arithmetic; the two
-    beta-moment constants by product quadrature at the given grid; the
-    kernel-feedback sign by sampling under ``seed`` at min(grid_n,
-    PROBE_GRID_CAP); the solve runs under ``opts`` at min(grid_n,
-    SOLVE_GRID_CAP).  R does not depend on the grid, so one resonance
-    build serves all three.  Failures are enumerated in the report, never
-    thrown.
+    ``spec`` and ``growth`` are ``build_section4(k, grid_n)`` and
+    ``section4_growth()``.  Matrix entries and margin numbers are checked
+    by arithmetic; the two beta-moment constants by product quadrature at
+    grid_n; the kernel-feedback sign by sampling under ``seed`` at
+    min(grid_n, PROBE_GRID_CAP); the solve runs under ``opts`` at
+    min(grid_n, SOLVE_GRID_CAP).  R does not depend on the grid, so one
+    resonance build serves all three.  Failures are enumerated in the
+    report, never thrown.
     """
-    spec = build_section4(k, grid_n)
+    k, grid_n = spec.dim // 3, spec.grid_n
     rdata = build_resonance(spec)
     alpha = spec.ord.alpha
     sq_pi = math.sqrt(math.pi)
@@ -198,11 +199,11 @@ def verify_section4(
     e[2] = sigma
     x = DomainElement(e, GridFn.zeros(grid_n, spec.dim))
     w = apply_rhs(spec, x)
-    iv = frac_integral(w, alpha).values
+    iv_xi, iv_one = frac_integral_at(w, alpha, (spec.xi_node, grid_n))
     ga = gamma(alpha)
     # Component-3 beta moments, solved for the recorded d-constants.
-    dhat_quad = ga * iv[spec.xi_node][2] / (0.1 * sigma / 4.0)
-    dtil_quad = ga * iv[grid_n][2] / (0.1 * sigma / 4.0)
+    dhat_quad = ga * iv_xi[2] / (0.1 * sigma / 4.0)
+    dtil_quad = ga * iv_one[2] / (0.1 * sigma / 4.0)
     dhat = math.pi / 128.0 + sq_pi / 24.0
     dtil = math.pi / 8.0 + sq_pi / 3.0
     checks.append(GoldenCheck("dhat_quadrature", dhat_quad, dhat, 1e-6))
@@ -211,19 +212,19 @@ def verify_section4(
     # First component of h(N e t^(1/2)).  The recorded target 11/(40 sqrt(pi))
     # follows from taking int_0^1 (1-s)^(1/2) ds = 3/2; the integral is 2/3,
     # which gives 13/(120 sqrt(pi)).  Both comparisons are reported.
-    # h(w) = A (I^alpha w)(xi) - (I^alpha w)(1), read off the sweep above.
-    h_w = spec.a_op @ iv[spec.xi_node] - iv[grid_n]
+    # h(w) = A (I^alpha w)(xi) - (I^alpha w)(1), from the two nodes above.
+    h_w = spec.a_op @ iv_xi - iv_one
     checks.append(GoldenCheck("h_kernel_feedback_first_recorded", float(h_w[0]), 11.0 / (40.0 * sq_pi), 1e-6))
     checks.append(GoldenCheck("h_kernel_feedback_first_computed", float(h_w[0]), 13.0 / (120.0 * sq_pi), 1e-6))
 
-    margins = check_growth_margins(spec.ord, rdata, section4_growth())
-    probe_spec = build_section4(k, min(grid_n, PROBE_GRID_CAP))
+    margins = check_growth_margins(spec.ord, rdata, growth)
+    probe_spec = replace(spec, grid_n=min(grid_n, PROBE_GRID_CAP))
     probe = probe_kernel_sign(probe_spec, rdata, kernel_level=1.0, sample_count=50, seed=seed)
     checks.append(
         GoldenCheck("kernel_sign_strictly_positive", 1.0 if probe.strict_sign == "positive" else 0.0, 1.0, 0.0)
     )
 
-    solve_spec = build_section4(k, min(grid_n, SOLVE_GRID_CAP))
+    solve_spec = replace(spec, grid_n=min(grid_n, SOLVE_GRID_CAP))
     report = solve(solve_spec, rdata, opts)
 
     notes = (

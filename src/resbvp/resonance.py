@@ -50,6 +50,7 @@ from .fracops import (
     cumulative_integral,
     frac_derivative,
     frac_integral,
+    frac_integral_at,
     gamma,
     power_rule,
 )
@@ -252,8 +253,8 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
 def boundary_functional(y: GridFn, spec: ProblemSpec) -> np.ndarray:
     """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
 
-    xi must lie on a node of y's grid; the two kernel integrals are read
-    off one fractional-integral sweep.
+    xi must lie on a node of y's grid; the two kernel integrals are the
+    quadrature's values at nodes xi and 1 alone, without a full sweep.
     """
     if y.dim != spec.dim:
         raise ValueError(f"grid dim {y.dim} != operator dim {spec.dim}")
@@ -261,8 +262,8 @@ def boundary_functional(y: GridFn, spec: ProblemSpec) -> np.ndarray:
     jxi = spec.xi * n
     if abs(jxi - round(jxi)) > 1e-9:
         raise ValueError(f"xi = {spec.xi} is not a node of the N = {n} grid")
-    iv = frac_integral(y, spec.ord.alpha).values
-    return spec.a_op @ iv[int(round(jxi))] - iv[n]
+    at_xi, at_one = frac_integral_at(y, spec.ord.alpha, (int(round(jxi)), n))
+    return spec.a_op @ at_xi - at_one
 
 
 def boundary_functional_power(p: PowerFn, spec: ProblemSpec) -> np.ndarray:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import resbvp.problems as problems
 from resbvp import save_matrix_csv
 from resbvp.cli import main, parse_config
 
@@ -37,6 +40,20 @@ class TestVerifyExampleFlow:
         run_cli(["verify-example", "--builtin", "section4", "--grid", "512", "--out", str(out)])
         lines = (out / "report.txt").read_text().splitlines()
         assert "grids: quadrature=512 probe=512 solve=256" in lines
+
+    def test_builds_the_problem_once(self, tmp_path, monkeypatch):
+        grids = []
+        original = problems.build_section4
+
+        def counting(k, grid_n=256):
+            grids.append(grid_n)
+            return original(k, grid_n)
+
+        monkeypatch.setattr(problems, "build_section4", counting)
+        monkeypatch.setitem(problems.BUILTINS, "section4", replace(problems.BUILTINS["section4"], build=counting))
+        code = run_cli(["verify-example", "--grid", "512", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert grids == [512]
 
     def test_solve_reads_max_iter(self, tmp_path):
         out = tmp_path / "run"
@@ -261,20 +278,20 @@ class TestExitCodes:
         assert spec.dim == 3 and growth is not None
 
     @pytest.mark.parametrize(
-        "command, flags",
+        "command, flags, error",
         [
-            ("analyze", ["--damping", "7"]),
-            ("check-hypotheses", ["--damping", "0"]),
-            ("solve", ["--max-iter", "0"]),
-            ("verify-example", ["--max-iter", "-3"]),
+            ("analyze", ["--damping", "7"], "error: --damping must lie in (0, 1], got 7.0"),
+            ("check-hypotheses", ["--damping", "0"], "error: --damping must lie in (0, 1], got 0.0"),
+            ("solve", ["--max-iter", "0"], "error: --max-iter must be positive, got 0"),
+            ("verify-example", ["--max-iter", "-3"], "error: --max-iter must be positive, got -3"),
         ],
         ids=["analyze-damping", "hypotheses-damping", "solve-max-iter", "verify-max-iter"],
     )
-    def test_bad_solve_option_exits_three_on_every_command(self, tmp_path, command, flags):
+    def test_bad_solve_option_exits_three_on_every_command(self, tmp_path, command, flags, error):
         out = tmp_path / "r"
         code = run_cli([command, "--builtin", "section4", "--grid", "64", *flags, "--out", str(out)])
         assert code == 3
-        assert "error: " in (out / "report.txt").read_text()
+        assert error in (out / "report.txt").read_text().splitlines()
         assert not (out / "solution.csv").exists()
 
     def test_missing_source_exits_three(self, tmp_path):

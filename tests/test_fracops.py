@@ -12,10 +12,12 @@ from resbvp import (
     cumulative_integral,
     frac_derivative,
     frac_integral,
+    frac_integral_at,
     frac_integral_power,
     gamma,
     power_rule,
 )
+from resbvp.fracops import _product_trapezoid_weights, _trapezoid_weights
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -154,6 +156,78 @@ class TestFracIntegral:
             frac_integral(y, 0.0)
         with pytest.raises(ValueError):
             frac_integral(y, 2.5)
+        with pytest.raises(ValueError):
+            frac_integral_at(y, 2.5, [8])
+        with pytest.raises(ValueError):
+            frac_integral_at(y, 1.5, [9])
+
+
+# Weight indices m in 1..32, 2^k and 2^k - 1 up to k = 20 (N = 2^20).
+WEIGHT_INDICES = sorted(set(range(1, 33)) | {2**k for k in range(21)} | {2**k - 1 for k in range(1, 21)})
+
+
+class TestQuadratureWeights:
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 1.5, 1.95, 2.0])
+    def test_weights_against_50_digit_reference(self, a):
+        mp = pytest.importorskip("mpmath")
+        b, w0 = _trapezoid_weights(a, np.array(WEIGHT_INDICES))
+        worst_b = worst_w0 = 0.0
+        with mp.workdps(50):
+            am = mp.mpf(a)
+            p = am + 1
+            for i, m in enumerate(WEIGHT_INDICES):
+                m = mp.mpf(m)
+                ref_b = (m + 1) ** p - 2 * m**p + (m - 1) ** p
+                ref_w0 = (m - 1) ** p - (m - 1 - am) * m**am
+                worst_b = max(worst_b, float(abs((mp.mpf(b[i]) - ref_b) / ref_b)))
+                worst_w0 = max(worst_w0, float(abs((mp.mpf(w0[i]) - ref_w0) / ref_w0)))
+        assert worst_b <= 1e-14
+        assert worst_w0 <= 1e-14
+
+    def test_first_weights(self):
+        b, w0 = _trapezoid_weights(0.5, np.arange(2))
+        assert b.tolist() == [1.0, 2.0 * math.expm1(0.5 * math.log(2.0))]
+        assert w0.tolist() == [0.0, 0.5]
+
+
+def _direct_frac_integral(y: np.ndarray, a: float) -> np.ndarray:
+    """The product-trapezoid sums of ``frac_integral`` by direct convolution."""
+    n = y.shape[0] - 1
+    b, w0, _ = _product_trapezoid_weights(a, n)
+    out = np.empty_like(y)
+    for c in range(y.shape[1]):
+        out[:, c] = np.convolve(b, y[:, c])[: n + 1] - b * y[0, c] + w0 * y[0, c]
+    out[0] = 0.0
+    return out * (1.0 / n) ** a / gamma(a + 2.0)
+
+
+class TestFFTConvolution:
+    # The O(N^2) reference at N = 16384 takes about 0.3 s per component,
+    # so that grid runs with 1 and 3 components only.
+    @pytest.mark.parametrize(
+        "n, dim",
+        [(n, dim) for n in (2, 3, 5, 255, 256, 1000, 4096, 16384) for dim in (1, 3, 12) if (n, dim) != (16384, 12)],
+    )
+    def test_matches_direct_convolution(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        t = _nodes(n)[:, None]
+        y = 1.0 + np.cos(3.0 * t + rng.uniform(0, 1, dim)) + 0.3 * rng.standard_normal((n + 1, dim))
+        assert np.all(y[0] != 0.0)
+        for a in (0.05, 0.5, 1.5, 2.0):
+            ref = _direct_frac_integral(y, a)
+            out = frac_integral(GridFn(y), a).values
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [2, 5, 256, 1000])
+    def test_node_evaluator_matches_full_sweep(self, n):
+        rng = np.random.default_rng(n)
+        y = GridFn(rng.standard_normal((n + 1, 3)))
+        nodes = sorted({0, 1, n // 4, n // 2, n - 1, n})
+        for a in (0.05, 0.5, 1.5, 2.0):
+            full = frac_integral(y, a).values
+            at = frac_integral_at(y, a, nodes)
+            assert at.shape == (len(nodes), 3)
+            assert np.abs(at - full[nodes]).max() <= 1e-14 * np.abs(full).max()
 
 
 class TestFracIntegralPower:

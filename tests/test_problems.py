@@ -101,7 +101,7 @@ class TestBuildSection4:
 
 @pytest.fixture(scope="module")
 def sec4_report():
-    return verify_section4(1, 2048, seed=0)
+    return verify_section4(build_section4(1, 2048), section4_growth(), seed=0)
 
 
 class TestVerifySection4:
@@ -153,8 +153,8 @@ class TestVerifySection4:
         assert any("range" in note for note in report.notes)
 
     def test_quadrature_residuals_shrink_with_grid(self):
-        r_small = verify_section4(1, 512, seed=0)
-        r_large = verify_section4(1, 2048, seed=0)
+        r_small = verify_section4(build_section4(1, 512), section4_growth(), seed=0)
+        r_large = verify_section4(build_section4(1, 2048), section4_growth(), seed=0)
 
         def resid(rep, name):
             return [c for c in rep.checks if c.name == name][0].residual
@@ -163,7 +163,7 @@ class TestVerifySection4:
             assert resid(r_large, name) < resid(r_small, name)
 
     def test_multi_block_pinv_structure(self):
-        rep = verify_section4(3, 512, seed=0)
+        rep = verify_section4(build_section4(3, 512), section4_growth(), seed=0)
         c = [c for c in rep.checks if c.name == "pseudoinverse_blocks"][0]
         assert c.passed
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ class TestBoundaryFunctional:
         with pytest.raises(ValueError, match="node"):
             boundary_functional(GridFn.zeros(50, 3), sec4_spec)
 
+    @pytest.mark.parametrize("n", [8, 256, 1000])
+    def test_equals_full_sweep_at_xi_and_one(self, n):
+        spec = build_section4(1, n)
+        y = GridFn(np.random.default_rng(n).standard_normal((n + 1, 3)))
+        full = frac_integral(y, spec.ord.alpha).values
+        from_sweep = spec.a_op @ full[spec.xi_node] - full[n]
+        h = boundary_functional(y, spec)
+        assert np.abs(h - from_sweep).max() <= 1e-14 * np.abs(full).max()
+
 
 class TestObstructionProjection:
     def test_idempotent_on_grid_inputs(self, sec4_spec, sec4_rdata):
@@ -197,6 +207,30 @@ class TestSplitObstruction:
     def test_fixed_point_map_sweeps_once(self, sweeps, sec4_spec, sec4_rdata):
         fixed_point_map(sec4_spec, sec4_rdata, DomainElement.zero(sec4_spec.grid_n, sec4_spec.dim))
         assert sweeps == [sec4_spec.grid_n]
+
+    @pytest.fixture
+    def full_sweeps(self, monkeypatch):
+        """Calls of the full ``frac_integral`` sweep, counted in every module that binds it."""
+        calls = []
+        original = resbvp.fracops.frac_integral
+
+        def counting(y, a):
+            calls.append(a)
+            return original(y, a)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "resbvp" and getattr(module, "frac_integral", None) is original:
+                monkeypatch.setattr(module, "frac_integral", counting)
+        return calls
+
+    def test_fixed_point_map_makes_one_full_sweep(self, full_sweeps, sec4_spec, sec4_rdata):
+        x = DomainElement(np.array([0.0, 0.0, 2.0]), GridFn(np.ones((sec4_spec.grid_n + 1, 3))))
+        fixed_point_map(sec4_spec, sec4_rdata, x)
+        assert full_sweeps == [sec4_spec.ord.alpha]
+
+    def test_boundary_functional_makes_no_full_sweep(self, full_sweeps, sec4_spec):
+        boundary_functional(GridFn(np.ones((sec4_spec.grid_n + 1, 3))), sec4_spec)
+        assert full_sweeps == []
 
 
 class TestKernelProjection:
@@ -299,6 +333,12 @@ class TestVerifyStructure:
             sr = verify_structure(spec, sec4_rdata, samples=5, seed=1)
             vals[n] = sr.left_inverse_window
         assert vals[512] < vals[256]
+
+    def test_roundtrip_window_at_fine_grid(self, sec4_rdata):
+        # Rounding-limited at this grid: the second difference divides by
+        # h^2, so weight errors of relative size e show up as e * N^2.
+        sr = verify_structure(build_section4(1, 16384), sec4_rdata, samples=5, seed=0)
+        assert sr.left_inverse_window <= 1e-6
 
     def test_full_resonance_identity_trivial(self):
         xi, alpha = 0.25, 1.5
