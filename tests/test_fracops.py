@@ -184,11 +184,6 @@ class TestQuadratureWeights:
         assert worst_b <= 1e-14
         assert worst_w0 <= 1e-14
 
-    def test_first_weights(self):
-        b, w0 = _trapezoid_weights(0.5, np.arange(2))
-        assert b.tolist() == [1.0, 2.0 * math.expm1(0.5 * math.log(2.0))]
-        assert w0.tolist() == [0.0, 0.5]
-
 
 def _direct_frac_integral(y: np.ndarray, a: float) -> np.ndarray:
     """The product-trapezoid sums of ``frac_integral`` by direct convolution."""
