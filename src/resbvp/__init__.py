@@ -76,6 +76,7 @@ from .solver import (
     apriori_bound,
     eval_rhs,
     fixed_point_map,
+    oriented_lift,
     residuals,
     solve,
 )

@@ -308,17 +308,23 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+_CSV_BLOCK_ROWS = 512
+
+
 def _write_solution_csv(path: Path, ord: Order, element: DomainElement) -> None:
+    """Write t, x and the derivative trace in ``_fmt``'s format, streamed in row blocks."""
     x = evaluate(element, ord).values
     d = derivative_trace(element, ord).values
     t = element.source.nodes
     n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
-    for j in range(t.shape[0]):
-        row = [t[j], *x[j], *d[j]]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for j in range(0, t.shape[0], _CSV_BLOCK_ROWS):
+            rows = slice(j, j + _CSV_BLOCK_ROWS)
+            block = np.column_stack((t[rows], x[rows], d[rows]))
+            f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _resonance_lines(rdata: ResonanceData) -> list[str]:

@@ -13,19 +13,23 @@ The iteration is the splitting map
 whose fixed points are exactly the discrete solutions: at a fixed point
 the obstruction part of N x must vanish (kernel coordinates are fed back
 through J), and then R coef = h(source) holds, i.e. x satisfies the
-three-point condition.  Damped Picard is used rather than Newton: the
-right-hand sides of interest are nonsmooth (norm-threshold switches), so
-no Jacobian is assumed.
+three-point condition.  Any isomorphism J: Im Q -> Ker L has these fixed
+points, so ``solve`` orients and scales the J of ``build_resonance`` by
+the kernel-block gain it measures at the start iterate, which makes the
+kernel coordinates contract at the damping rate (``oriented_lift``).
+Damped Picard is used rather than Newton: the right-hand sides of
+interest are nonsmooth (norm-threshold switches), so no Jacobian is
+assumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fracops import GridFn, PowerFn, frac_derivative, frac_integral
+from .fracops import GridFn, PowerFn, frac_derivative, frac_integral, gamma
 from .resonance import (
     DomainElement,
     ProblemSpec,
@@ -44,12 +48,18 @@ __all__ = [
     "eval_rhs",
     "apply_rhs",
     "fixed_point_map",
+    "oriented_lift",
     "solve",
     "residuals",
     "apriori_bound",
 ]
 
 _DIVERGENCE_LIMIT = 1e8
+# Secant step of the kernel-gain probe, relative to max(1, ||coef||).
+_GAIN_STEP = 1e-6
+# The probed gain is inverted only when its smallest singular value
+# exceeds this many ulps of the rhs values per secant step.
+_GAIN_NOISE_ULPS = 1e3
 
 
 class RhsEvaluationError(RuntimeError):
@@ -104,12 +114,15 @@ class ResidualBlock:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of ``solve``; ``kernel_gain`` is the G of ``oriented_lift``."""
+
     converged: bool
     diverged: bool
     iterations: int
     element: DomainElement
     diff_history: tuple[float, ...]
     residuals: ResidualBlock
+    kernel_gain: np.ndarray
 
 
 def eval_rhs(spec: ProblemSpec, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -153,6 +166,52 @@ def fixed_point_map(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -
     return DomainElement(coef, rest)
 
 
+def oriented_lift(
+    spec: ProblemSpec, rdata: ResonanceData, x: DomainElement
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe the kernel-block gain G at x and return (G, K S K^T J).
+
+    A damped step moves the kernel coordinates z = K^T coef by
+    relax K^T J Q N x, so near x they change at the rate I + relax G with
+
+        G = d/dz K^T J Q N(x + K z t^(alpha-1))  at z = 0,
+
+    a dim_ker x dim_ker matrix.  With the lift K S K^T J and S = -G^-1
+    the rate is (1 - relax) I.  G is measured by forward secants of step
+    1e-6 max(1, ||coef||): only coef moves along the path, so x's samples
+    and derivative trace are computed once and each column shifts them
+    by step t^(alpha-1) K e_i and Gamma(alpha) step K e_i, which costs
+    dim_ker + 1 rhs calls and no further I^alpha sweep.  When the
+    smallest singular value of G does not clear the secant's rounding
+    level (the rhs hardly sees the kernel coordinates), S = I and J
+    itself is returned.
+    """
+    ker = rdata.kernel
+    step = _GAIN_STEP * max(1.0, float(np.linalg.norm(x.coef)))
+    nodes = x.source.nodes
+    xv = evaluate(x, spec.ord).values
+    tv = derivative_trace(x, spec.ord).values
+    w0 = eval_rhs(spec, nodes, xv, tv)
+    noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w0)))) / step
+    # h is linear, so the secants difference h values; not holding w0
+    # through the loop keeps the probe's peak memory below the solve's.
+    h0 = boundary_functional(GridFn(w0), spec)
+    del w0
+    shifts = []
+    for e in step * ker.T:
+        w = eval_rhs(
+            spec,
+            nodes,
+            xv + PowerFn(e, spec.ord.alpha_m1).sample(nodes),
+            tv + gamma(spec.ord.alpha) * e,
+        )
+        shifts.append(boundary_functional(GridFn(w), spec) - h0)
+    gain = ker.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
+    if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
+        return gain, rdata.lift
+    return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
+
+
 def _diff_norm(a: DomainElement, b: DomainElement) -> float:
     dc = float(np.linalg.norm(a.coef - b.coef))
     dy = float(np.max(np.linalg.norm(a.source.values - b.source.values, axis=1)))
@@ -169,6 +228,10 @@ def _magnitude(x: DomainElement) -> float:
 def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Picard iteration x <- (1 - relax) x + relax Phi(x).
 
+    Phi lifts the obstruction with the ``oriented_lift`` probed once at
+    the initial element, so the kernel coordinates contract at about
+    1 - relax per step near it; ``rdata`` itself is left as it is.
+
     Stops when the iterate difference drops below ``tol_fixed_point`` or
     ``max_iter`` is reached; iterates blowing past 1e8 terminate early
     with the diverged flag.  The report is always returned and the
@@ -176,13 +239,15 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     ``tol_residual``.
     """
     x = opts.initial if opts.initial is not None else DomainElement.zero(spec.grid_n, spec.dim)
+    gain, lift = oriented_lift(spec, rdata, x)
+    oriented = replace(rdata, lift=lift)
     history: list[float] = []
     diverged = False
     settled = False
     iterations = 0
     for _ in range(opts.max_iter):
         iterations += 1
-        phi = fixed_point_map(spec, rdata, x)
+        phi = fixed_point_map(spec, oriented, x)
         x_next = DomainElement(
             (1.0 - opts.relax) * x.coef + opts.relax * phi.coef,
             GridFn((1.0 - opts.relax) * x.source.values + opts.relax * phi.source.values),
@@ -211,6 +276,7 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
         element=x,
         diff_history=tuple(history),
         residuals=res,
+        kernel_gain=gain,
     )
 
 

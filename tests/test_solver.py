@@ -1,7 +1,12 @@
+import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_resonant_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +22,28 @@ from resbvp import (
     boundary_functional,
     build_resonance,
     build_section4,
+    derivative_trace,
     evaluate,
     fixed_point_map,
     frac_integral,
+    oriented_lift,
     partial_inverse,
     residuals,
     solve,
 )
+from resbvp.cli import parse_config
 
 SQRT_PI = math.sqrt(math.pi)
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    """The benchmark's workload module, which writes the seeded affine inputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestApplyRhs:
@@ -88,9 +106,10 @@ class TestRhsContract:
         apply_rhs(spec, DomainElement(np.ones(3), GridFn.zeros(64, 3)))
         assert calls == [((65,), (65, 3), (65, 3))]
         calls.clear()
-        # One call per iteration plus one for the residuals.
+        # One call per iteration, one for the residuals and dim_ker + 1 for
+        # the kernel-gain probe.
         report = solve(spec, sec4_rdata, SolveOptions(max_iter=5))
-        assert calls == [((65,), (65, 3), (65, 3))] * (report.iterations + 1)
+        assert calls == [((65,), (65, 3), (65, 3))] * (report.iterations + 1 + sec4_rdata.dim_ker + 1)
 
     def test_vector_return_names_expected_shape(self):
         spec = ProblemSpec(
@@ -206,6 +225,67 @@ class TestSolve:
         r1 = solve(sec4_spec, sec4_rdata, opts)
         r2 = solve(sec4_spec, sec4_rdata, opts)
         np.testing.assert_array_equal(r1.element.coef, r2.element.coef)
+
+
+class TestOrientedLift:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_affine_gain_matches_closed_form(self, seed, tmp_path):
+        workloads = _load_workloads()
+        workloads.write_affine_inputs(seed, tmp_path)
+        spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
+        rdata = build_resonance(spec)
+        # f = C u + D v + g with C K = 0 and D K = d K: a kernel shift
+        # c t^(alpha-1) changes f by the constant d Gamma(alpha) c, whose h
+        # is (xi^alpha A - I) c / Gamma(alpha + 1) = (xi - 1) c / Gamma(alpha + 1)
+        # (A c = xi^(1-alpha) c on the kernel).  The kernel is the cokernel,
+        # so the obstruction keeps it with the factor kappa and J is the identity on it.
+        alpha, xi = spec.ord.alpha, spec.xi
+        closed = workloads.AFFINE_D_DIAG * rdata.proj_scale * (xi - 1.0) / alpha
+        gain, _ = oriented_lift(spec, rdata, DomainElement.zero(spec.grid_n, spec.dim))
+        np.testing.assert_allclose(gain, closed * np.eye(rdata.dim_ker), rtol=0.0, atol=1e-7)
+        report = solve(spec, rdata)
+        assert report.converged
+        assert report.iterations <= 50
+        np.testing.assert_array_equal(report.kernel_gain, gain)
+
+    def test_rhs_blind_to_kernel_keeps_lift(self):
+        spec = make_resonant_spec(np.random.default_rng(3), 4, 2)
+        rdata = build_resonance(spec)
+        off_kernel = np.eye(4) - rdata.kernel @ rdata.kernel.T
+        spec = dataclasses.replace(spec, rhs=lambda t, u, v: (u + v) @ off_kernel + t[:, None])
+        # At this start the secants' rounding noise (~1e-10) is of full
+        # rank, so only the noise floor keeps G from being inverted.
+        rng = np.random.default_rng(6)
+        x0 = DomainElement(rng.standard_normal(4), GridFn(rng.standard_normal((65, 4))))
+        gain, lift = oriented_lift(spec, rdata, x0)
+        assert np.max(np.abs(gain)) < 1e-8
+        assert lift is rdata.lift
+        report = solve(spec, rdata, SolveOptions(max_iter=1, initial=x0))
+        phi = fixed_point_map(spec, rdata, x0)
+        np.testing.assert_array_equal(report.element.coef, 0.5 * x0.coef + 0.5 * phi.coef)
+
+    def test_section4_kernel_starts_reach_zero_start_solution(self, sec4_spec, sec4_rdata):
+        # The kernel coordinate settles within a few tol_fixed_point of its
+        # limit; the tight tolerance keeps that below the 1e-8 share of the
+        # smallest column scale (1e-3 of the largest column).
+        opts = SolveOptions(tol_fixed_point=1e-13)
+
+        def table(x):
+            return np.column_stack(
+                [evaluate(x, sec4_spec.ord).values, derivative_trace(x, sec4_spec.ord).values]
+            )
+
+        ref = solve(sec4_spec, sec4_rdata, opts)
+        assert ref.converged
+        expected = table(ref.element)
+        colmax = np.max(np.abs(expected), axis=0)
+        scale = np.maximum(colmax, 1e-3 * colmax.max())
+        for v in (-2.0, -0.5, 0.5, 2.0):
+            c0 = sec4_rdata.kernel @ np.full(sec4_rdata.dim_ker, v)
+            start = DomainElement(c0, GridFn.zeros(sec4_spec.grid_n, sec4_spec.dim))
+            report = solve(sec4_spec, sec4_rdata, dataclasses.replace(opts, initial=start))
+            assert report.converged, v
+            assert np.max(np.abs(table(report.element) - expected) / scale) <= 1e-8, v
 
 
 class TestResiduals:
