@@ -91,8 +91,8 @@ class RunConfig:
     k: int = 1
     config_path: str | None = None
     grid_n: int | None = None
-    damping: float = 0.5
-    max_iter: int = 200
+    damping: float = SolveOptions.relax
+    max_iter: int = SolveOptions.max_iter
     seed: int = 0
     out_dir: str = "."
 
@@ -513,8 +513,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--builtin", default=None, help="builtin problem name (e.g. section4)")
     parser.add_argument("--k", type=int, default=1, help="block count for --builtin")
     parser.add_argument("--grid", dest="grid_n", type=int, default=None, help="grid subintervals")
-    parser.add_argument("--damping", type=float, default=0.5, help="relaxation factor in (0, 1]")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=200)
+    parser.add_argument(
+        "--damping", type=float, default=SolveOptions.relax, help="relaxation factor in (0, 1]"
+    )
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolveOptions.max_iter)
     parser.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     parser.add_argument("--out", dest="out_dir", default=".", help="output directory")
     args = parser.parse_args(argv)

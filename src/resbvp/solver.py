@@ -13,10 +13,12 @@ The iteration is the splitting map
 whose fixed points are exactly the discrete solutions: at a fixed point
 the obstruction part of N x must vanish (kernel coordinates are fed back
 through J), and then R coef = h(source) holds, i.e. x satisfies the
-three-point condition.  Any isomorphism J: Im Q -> Ker L has these fixed
-points, so ``solve`` orients and scales the J of ``build_resonance`` by
-the kernel-block gain it measures at the start iterate, which makes the
-kernel coordinates contract at the damping rate (``oriented_lift``).
+three-point condition.  Phi reads x only through coef and N x, so each
+iterate's N x is evaluated once.  Any isomorphism J: Im Q -> Ker L has
+these fixed points, so ``solve`` orients and scales the J of
+``build_resonance`` by the kernel-block gain it measures at the start
+iterate, which makes the kernel coordinates contract at the damping rate
+(``oriented_lift``).
 Damped Picard is used rather than Newton: the right-hand sides of
 interest are nonsmooth (norm-threshold switches), so no Jacobian is
 assumed.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fracops import GridFn, PowerFn, frac_derivative, frac_integral, gamma
+from .fracops import GridFn, PowerFn, frac_derivative, frac_integral
 from .resonance import (
     DomainElement,
     ProblemSpec,
@@ -118,11 +120,15 @@ class SolveReport:
 
     converged: bool
     diverged: bool
-    iterations: int
     element: DomainElement
     diff_history: tuple[float, ...]
     residuals: ResidualBlock
     kernel_gain: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken: each records one iterate difference."""
+        return len(self.diff_history)
 
 
 def eval_rhs(spec: ProblemSpec, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -153,23 +159,26 @@ def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
     return GridFn(eval_rhs(spec, x.source.nodes, xv, tv))
 
 
-def fixed_point_map(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> DomainElement:
+def fixed_point_map(
+    spec: ProblemSpec, rdata: ResonanceData, coef: np.ndarray, w: GridFn
+) -> DomainElement:
     """One application of Phi(x) = P x + J Q N x + K (I - Q) N x.
 
-    ``split_obstruction`` splits N x once: J lifts Q N x, an exact power
+    Phi reads x only through its coefficient (P x = K K^T coef) and
+    w = N x = ``apply_rhs(spec, x)``, so it takes exactly those two.
+    ``split_obstruction`` splits w once: J lifts Q w, an exact power
     function, and the partial inverse takes the solvable rest, with
-    h(Q N x) on the beta-integral route, so the output's solvability
+    h(Q w) on the beta-integral route, so the output's solvability
     defect lies in the obstruction coordinates, which vanish at a fixpoint.
     """
-    q, h_rest, rest = split_obstruction(apply_rhs(spec, x), spec, rdata)
-    coef = rdata.kernel_proj @ x.coef + rdata.lift @ q.coef + rdata.pinv @ h_rest
-    return DomainElement(coef, rest)
+    q, h_rest, rest = split_obstruction(w, spec, rdata)
+    return DomainElement(rdata.kernel_proj @ coef + rdata.lift @ q.coef + rdata.pinv @ h_rest, rest)
 
 
 def oriented_lift(
-    spec: ProblemSpec, rdata: ResonanceData, x: DomainElement
+    spec: ProblemSpec, rdata: ResonanceData, x: DomainElement, w: GridFn
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe the kernel-block gain G at x and return (G, K S K^T J).
+    """Probe the kernel-block gain G at x, given w = N x, and return (G, K S K^T J).
 
     A damped step moves the kernel coordinates z = K^T coef by
     relax K^T J Q N x, so near x they change at the rate I + relax G with
@@ -178,51 +187,30 @@ def oriented_lift(
 
     a dim_ker x dim_ker matrix.  With the lift K S K^T J and S = -G^-1
     the rate is (1 - relax) I.  G is measured by forward secants of step
-    1e-6 max(1, ||coef||): only coef moves along the path, so x's samples
-    and derivative trace are computed once and each column shifts them
-    by step t^(alpha-1) K e_i and Gamma(alpha) step K e_i, which costs
-    dim_ker + 1 rhs calls and no further I^alpha sweep.  When the
-    smallest singular value of G does not clear the secant's rounding
-    level (the rhs hardly sees the kernel coordinates), S = I and J
-    itself is returned.
+    1e-6 max(1, ||coef||), one ``apply_rhs`` per kernel direction: dim_ker
+    rhs calls beside the caller's w, and dim_ker I^alpha sweeps of x's
+    source (none from a zero source).  When the smallest singular value
+    of G does not clear the secant's rounding level (the rhs hardly sees
+    the kernel coordinates), S = I and J itself is returned.
     """
     ker = rdata.kernel
     step = _GAIN_STEP * max(1.0, float(np.linalg.norm(x.coef)))
-    nodes = x.source.nodes
-    xv = evaluate(x, spec.ord).values
-    tv = derivative_trace(x, spec.ord).values
-    w0 = eval_rhs(spec, nodes, xv, tv)
-    noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w0)))) / step
-    # h is linear, so the secants difference h values; not holding w0
-    # through the loop keeps the probe's peak memory below the solve's.
-    h0 = boundary_functional(GridFn(w0), spec)
-    del w0
-    shifts = []
-    for e in step * ker.T:
-        w = eval_rhs(
-            spec,
-            nodes,
-            xv + PowerFn(e, spec.ord.alpha_m1).sample(nodes),
-            tv + gamma(spec.ord.alpha) * e,
-        )
-        shifts.append(boundary_functional(GridFn(w), spec) - h0)
+    noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))) / step
+    # h is linear, so the secants difference h values.
+    h0 = boundary_functional(w, spec)
+    shifts = [
+        boundary_functional(apply_rhs(spec, DomainElement(x.coef + e, x.source)), spec) - h0
+        for e in step * ker.T
+    ]
     gain = ker.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
     if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
 
 
-def _diff_norm(a: DomainElement, b: DomainElement) -> float:
-    dc = float(np.linalg.norm(a.coef - b.coef))
-    dy = float(np.max(np.linalg.norm(a.source.values - b.source.values, axis=1)))
-    return max(dc, dy)
-
-
-def _magnitude(x: DomainElement) -> float:
-    return max(
-        float(np.linalg.norm(x.coef)),
-        float(np.max(np.linalg.norm(x.source.values, axis=1))),
-    )
+def _row_norm(coef: np.ndarray, values: np.ndarray) -> float:
+    """max(||coef||, max_j ||values[j]||), the norm of a (coef, source) pair."""
+    return max(float(np.linalg.norm(coef)), float(np.max(np.linalg.norm(values, axis=1))))
 
 
 def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -230,7 +218,8 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
 
     Phi lifts the obstruction with the ``oriented_lift`` probed once at
     the initial element, so the kernel coordinates contract at about
-    1 - relax per step near it; ``rdata`` itself is left as it is.
+    1 - relax per step near it; ``rdata`` itself is left as it is.  The
+    start's N x serves both the probe and the first step.
 
     Stops when the iterate difference drops below ``tol_fixed_point`` or
     ``max_iter`` is reached; iterates blowing past 1e8 terminate early
@@ -239,28 +228,29 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     ``tol_residual``.
     """
     x = opts.initial if opts.initial is not None else DomainElement.zero(spec.grid_n, spec.dim)
-    gain, lift = oriented_lift(spec, rdata, x)
+    w = apply_rhs(spec, x)
+    gain, lift = oriented_lift(spec, rdata, x, w)
     oriented = replace(rdata, lift=lift)
     history: list[float] = []
     diverged = False
     settled = False
-    iterations = 0
     for _ in range(opts.max_iter):
-        iterations += 1
-        phi = fixed_point_map(spec, oriented, x)
+        phi = fixed_point_map(spec, oriented, x.coef, w)
+        del w  # not held while the next N x is computed
         x_next = DomainElement(
             (1.0 - opts.relax) * x.coef + opts.relax * phi.coef,
             GridFn((1.0 - opts.relax) * x.source.values + opts.relax * phi.source.values),
         )
-        diff = _diff_norm(x_next, x)
+        diff = _row_norm(x_next.coef - x.coef, x_next.source.values - x.source.values)
         history.append(diff)
         x = x_next
-        if _magnitude(x) > _DIVERGENCE_LIMIT:
+        if _row_norm(x.coef, x.source.values) > _DIVERGENCE_LIMIT:
             diverged = True
             break
         if diff <= opts.tol_fixed_point:
             settled = True
             break
+        w = apply_rhs(spec, x)
 
     res = residuals(spec, rdata, x)
     converged = (
@@ -272,7 +262,6 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     return SolveReport(
         converged=converged,
         diverged=diverged,
-        iterations=iterations,
         element=x,
         diff_history=tuple(history),
         residuals=res,

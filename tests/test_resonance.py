@@ -12,6 +12,7 @@ from resbvp import (
     Order,
     PowerFn,
     ProblemSpec,
+    apply_rhs,
     boundary_functional,
     boundary_functional_power,
     build_resonance,
@@ -205,7 +206,8 @@ class TestSplitObstruction:
         assert len(sweeps) == 5
 
     def test_fixed_point_map_sweeps_once(self, sweeps, sec4_spec, sec4_rdata):
-        fixed_point_map(sec4_spec, sec4_rdata, DomainElement.zero(sec4_spec.grid_n, sec4_spec.dim))
+        x = DomainElement.zero(sec4_spec.grid_n, sec4_spec.dim)
+        fixed_point_map(sec4_spec, sec4_rdata, x.coef, apply_rhs(sec4_spec, x))
         assert sweeps == [sec4_spec.grid_n]
 
     @pytest.fixture
@@ -225,7 +227,8 @@ class TestSplitObstruction:
 
     def test_fixed_point_map_makes_one_full_sweep(self, full_sweeps, sec4_spec, sec4_rdata):
         x = DomainElement(np.array([0.0, 0.0, 2.0]), GridFn(np.ones((sec4_spec.grid_n + 1, 3))))
-        fixed_point_map(sec4_spec, sec4_rdata, x)
+        # The sweep is apply_rhs's evaluation of x; the map itself makes none.
+        fixed_point_map(sec4_spec, sec4_rdata, x.coef, apply_rhs(sec4_spec, x))
         assert full_sweeps == [sec4_spec.ord.alpha]
 
     def test_boundary_functional_makes_no_full_sweep(self, full_sweeps, sec4_spec):
