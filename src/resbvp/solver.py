@@ -1,4 +1,4 @@
-"""Nonlinear layer: right-hand-side assembly and damped fixed-point solve.
+"""Nonlinear layer: right-hand-side assembly and mixed fixed-point solve.
 
 The unknown is a ``DomainElement`` (coef, source), never grid samples of
 x itself: the left boundary condition and the derivative trace are exact
@@ -19,9 +19,10 @@ these fixed points, so ``solve`` orients and scales the J of
 ``build_resonance`` by the kernel-block gain it measures at the start
 iterate, which makes the kernel coordinates contract at the damping rate
 (``oriented_lift``).
-Damped Picard is used rather than Newton: the right-hand sides of
-interest are nonsmooth (norm-threshold switches), so no Jacobian is
-assumed.
+The damped map is accelerated by Anderson mixing rather than replaced by
+Newton: the right-hand sides of interest are nonsmooth (norm-threshold
+switches), so no Jacobian is assumed, and mixing takes its secant
+information from the residuals of past iterates alone.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ _GAIN_STEP = 1e-6
 # The probed gain is inverted only when its smallest singular value
 # exceeds this many ulps of the rhs values per secant step.
 _GAIN_NOISE_ULPS = 1e3
+# Anderson mixing fits the residual by at most this many residual differences.
+_MIX_DEPTH = 4
+# The mixing fit is refused when its Gram matrix's condition number exceeds this.
+_MIX_COND = 1e12
 
 
 class RhsEvaluationError(RuntimeError):
@@ -208,18 +213,55 @@ def oriented_lift(
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
 
 
-def _row_norm(coef: np.ndarray, values: np.ndarray) -> float:
-    """max(||coef||, max_j ||values[j]||), the norm of a (coef, source) pair."""
-    return max(float(np.linalg.norm(coef)), float(np.max(np.linalg.norm(values, axis=1))))
+def _flat(x: DomainElement) -> np.ndarray:
+    """The flat state coef || source.values.ravel() of x."""
+    return np.concatenate((x.coef, x.source.values.ravel()))
+
+
+def _element(s: np.ndarray, dim: int) -> DomainElement:
+    """The DomainElement of a flat state."""
+    return DomainElement(s[:dim], GridFn(s[dim:].reshape(-1, dim)))
+
+
+def _row_norm(s: np.ndarray, dim: int) -> float:
+    """max(||coef||, max_j ||values[j]||), the norm of a flat (coef, source) state."""
+    return max(
+        float(np.linalg.norm(s[:dim])),
+        float(np.max(np.linalg.norm(s[dim:].reshape(-1, dim), axis=1))),
+    )
+
+
+def _mixing_coefficients(dfs: list[np.ndarray], f: np.ndarray) -> np.ndarray | None:
+    """gamma minimizing ||f - sum_i gamma_i dfs[i]||_2, or None when ill-conditioned.
+
+    The fit is solved through its m x m Gram matrix, one dot product per
+    entry, so the history is never stacked into one array.
+    """
+    gram = np.array([[np.dot(a, b) for b in dfs] for a in dfs])
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if not sv[-1] > sv[0] / _MIX_COND:
+        return None
+    return np.linalg.solve(gram, np.array([np.dot(a, f) for a in dfs]))
 
 
 def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Damped Picard iteration x <- (1 - relax) x + relax Phi(x).
+    """Anderson-mixed damped iteration of g(x) = (1 - relax) x + relax Phi(x).
 
     Phi lifts the obstruction with the ``oriented_lift`` probed once at
     the initial element, so the kernel coordinates contract at about
     1 - relax per step near it; ``rdata`` itself is left as it is.  The
     start's N x serves both the probe and the first step.
+
+    The iterate is one flat array s = coef || source, with residual
+    f = g(s) - s; a ``DomainElement`` is built from it only to evaluate
+    N x and to return.  Each step is Anderson's type-II mixing of depth 4
+    (Anderson 1965; Walker & Ni 2011): s <- g(s) - sum_i gamma_i dg_i,
+    where gamma is the least-squares fit of f by the stored differences
+    df_i of successive residuals and dg_i are the matching differences of
+    g.  The step falls back to the plain damped step s <- g(s), and clears
+    the history, when ||f|| grew or the fit is ill-conditioned (a
+    vanishing df included).  Mixing moves no fixed point: at one f = 0,
+    so gamma = 0.
 
     Stops when the iterate difference drops below ``tol_fixed_point`` or
     ``max_iter`` is reached; iterates blowing past 1e8 terminate early
@@ -227,31 +269,68 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     converged flag additionally requires the algebraic residuals to meet
     ``tol_residual``.
     """
-    x = opts.initial if opts.initial is not None else DomainElement.zero(spec.grid_n, spec.dim)
+    dim = spec.dim
+    x = opts.initial if opts.initial is not None else DomainElement.zero(spec.grid_n, dim)
     w = apply_rhs(spec, x)
     gain, lift = oriented_lift(spec, rdata, x, w)
     oriented = replace(rdata, lift=lift)
+    relax = opts.relax
+    # Pending pair (step, f) of the last step, completed into (dg, df) by
+    # the next residual: dg = step + df, since g(s) = s + f.
+    step: np.ndarray | None = None
+    f_prev: np.ndarray | None = None
+    f_norm_prev = math.inf
+    dgs: list[np.ndarray] = []
+    dfs: list[np.ndarray] = []
     history: list[float] = []
     diverged = False
     settled = False
-    for _ in range(opts.max_iter):
-        phi = fixed_point_map(spec, oriented, x.coef, w)
+    while True:
+        # Between steps x holds the state's only copy.
+        s = _flat(x)
+        del x
+        phi = fixed_point_map(spec, oriented, s[:dim], w)
         del w  # not held while the next N x is computed
-        x_next = DomainElement(
-            (1.0 - opts.relax) * x.coef + opts.relax * phi.coef,
-            GridFn((1.0 - opts.relax) * x.source.values + opts.relax * phi.source.values),
-        )
-        diff = _row_norm(x_next.coef - x.coef, x_next.source.values - x.source.values)
+        g = (1.0 - relax) * s
+        g[:dim] += relax * phi.coef
+        g[dim:] += relax * phi.source.values.ravel()
+        del phi
+        f = g - s
+        f_norm = float(np.linalg.norm(f))
+        if step is not None:
+            np.subtract(f, f_prev, out=f_prev)
+            step += f_prev
+            dgs.append(step)
+            dfs.append(f_prev)
+        gamma = _mixing_coefficients(dfs, f) if dfs and f_norm <= f_norm_prev else None
+        if gamma is None:
+            dgs.clear()
+            dfs.clear()
+        else:
+            for c, dg in zip(gamma, dgs):
+                g -= c * dg
+        step = g - s
+        del s
+        f_prev, f_norm_prev = f, f_norm
+        del f
+        if len(dfs) == _MIX_DEPTH:
+            del dgs[0], dfs[0]
+        diff = _row_norm(step, dim)
         history.append(diff)
-        x = x_next
-        if _row_norm(x.coef, x.source.values) > _DIVERGENCE_LIMIT:
-            diverged = True
+        x = _element(g, dim)
+        diverged = _row_norm(g, dim) > _DIVERGENCE_LIMIT
+        del g
+        if diverged:
             break
         if diff <= opts.tol_fixed_point:
             settled = True
             break
+        if len(history) == opts.max_iter:
+            break
         w = apply_rhs(spec, x)
 
+    # The loop state is released before residuals, whose sweeps set the peak.
+    del step, f_prev, dgs, dfs
     res = residuals(spec, rdata, x)
     converged = (
         settled

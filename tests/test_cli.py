@@ -57,10 +57,10 @@ class TestVerifyExampleFlow:
 
     def test_solve_reads_max_iter(self, tmp_path):
         out = tmp_path / "run"
-        code = run_cli(["verify-example", "--grid", "256", "--max-iter", "5", "--out", str(out)])
+        code = run_cli(["verify-example", "--grid", "256", "--max-iter", "2", "--out", str(out)])
         assert code == 2
         lines = (out / "report.txt").read_text().splitlines()
-        assert "iterations               : 5" in lines
+        assert "iterations               : 2" in lines
 
 
 class TestSolveFlow:

@@ -84,7 +84,7 @@ class TestSection4Outputs:
             ("== resonance decomposition ==", "rank"): "2",
             ("== resonance decomposition ==", "kernel dimension"): "1",
             ("== solver ==", "converged"): "True",
-            ("== solver ==", "iterations"): "32",
+            ("== solver ==", "iterations"): "3",
         }
         assert {key: entries.get(key) for key in expected} == expected
 
