@@ -276,6 +276,24 @@ class TestSolve:
             tracemalloc.stop()
         assert peak < 11 * (n + 1) * spec.dim * 8
 
+    def test_peak_memory_with_full_mixing_history(self, tmp_path):
+        # The seeded affine solve takes 13 steps, so its history fills to
+        # depth 4: x and 2 * depth arrays are held across each N x.  The
+        # traced peak is 14.51 (N+1) x dim arrays, inside the loop.
+        workloads = _load_workloads()
+        workloads.write_affine_inputs(0, tmp_path)
+        spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
+        rdata = build_resonance(spec)
+        solve(spec, rdata)  # fill the quadrature weight caches
+        tracemalloc.start()
+        try:
+            report = solve(spec, rdata)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.iterations > solver._MIX_DEPTH
+        assert peak < 15 * (spec.grid_n + 1) * spec.dim * 8
+
 
 class TestOrientedLift:
     @pytest.mark.parametrize("seed", range(10))
