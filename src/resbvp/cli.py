@@ -17,14 +17,19 @@ count) applies to ``--builtin`` only; a config file sets it in
     grid_n = 256
 
     [operator]
-    builtin = section4     # or:  csv = matrix.csv
+    builtin = section4
+    # or:  csv = matrix.csv
     k = 1
 
     [rhs]
-    builtin = section4     # or affine "f = C u + D v + g(t)":
+    builtin = section4
+    # or the affine form f = C u + D v + g(t):
     # c_matrix = C.csv
     # d_matrix = D.csv
     # g_profile = zero | one | t | sqrt
+
+A ``#`` starts a comment only at the start of a line.  Every source
+obeys ``ProblemSpec``'s grid rule: grid_n >= 8, xi * grid_n an integer.
 
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
@@ -40,7 +45,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -101,24 +105,6 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}; choose from {_COMMANDS}")
 
 
-def _smallest_valid_grid(xi: float, minimum: int = 8) -> int:
-    q = Fraction(xi).limit_denominator(10**6).denominator
-    n = q
-    while n < minimum:
-        n += q
-    return n
-
-
-def _validate_grid(xi: float, grid_n: int) -> None:
-    if grid_n < 8:
-        raise ConfigError(f"grid_n must be at least 8, got {grid_n}")
-    if abs(xi * grid_n - round(xi * grid_n)) > 1e-9:
-        raise ConfigError(
-            f"xi = {xi} must land on a grid node: grid_n = {grid_n} is invalid, "
-            f"smallest valid grid_n is {_smallest_valid_grid(xi)}"
-        )
-
-
 def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
@@ -168,7 +154,6 @@ def _builtin_problem(name: str, k: int, grid_n: int) -> tuple[ProblemSpec, Growt
     and its report label: the one place a builtin is built."""
     if name not in BUILTINS:
         raise ConfigError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
-    _validate_grid(BUILTINS[name].xi, grid_n)
     return BUILTINS[name].build(k, grid_n), BUILTINS[name].growth(), f"builtin:{name}"
 
 
@@ -210,7 +195,7 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         except ValueError as exc:
             raise ConfigError(f"{at(sec, key)} {key} must be an integer, got {sec[key][0]!r}") from exc
 
-    def grid_error(exc: ConfigError) -> ConfigError:
+    def grid_error(exc: ValueError) -> ConfigError:
         # The default grid_n passes every check, so a grid error points at
         # the file's grid_n, or at its xi when grid_n is left out.
         return ConfigError(f"{at(problem, 'grid_n' if 'grid_n' in problem else 'xi')} {exc}")
@@ -239,13 +224,15 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
             raise ConfigError(f"{at(operator, 'k')} block count must be positive, got {k}")
         try:
             return _builtin_problem(op_builtin, k, grid_n)
-        except ConfigError as exc:
+        except ValueError as exc:
             raise grid_error(exc) from None
 
     if "csv" not in operator:
         raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
     _reject_ignored(path, "operator", operator, {"k"}, "for a csv operator")
     a_op = load_matrix_csv(Path(base) / operator["csv"][0])
+    if a_op.shape[0] != a_op.shape[1]:
+        raise ConfigError(f"{at(operator, 'csv')} boundary operator must be square, got shape {a_op.shape}")
     alpha = fval(problem, "alpha")
     xi = fval(problem, "xi")
     grid_n = ival(problem, "grid_n", 256)
@@ -255,10 +242,6 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         raise ConfigError(f"{at(problem, 'alpha')} alpha must lie in (1, 2], got {alpha}")
     if not (0.0 < xi < 1.0):
         raise ConfigError(f"{at(problem, 'xi')} xi must lie in (0, 1), got {xi}")
-    try:
-        _validate_grid(xi, grid_n)
-    except ConfigError as exc:
-        raise grid_error(exc) from None
     n = a_op.shape[0]
 
     rhs_builtin = rhs_sec.get("builtin", (None, 0))[0]
@@ -300,7 +283,10 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         )
         label = f"csv+affine(g={profile_name})"
 
-    spec = ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n)
+    try:
+        spec = ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n)
+    except ValueError as exc:
+        raise grid_error(exc) from None
     return spec, growth, label
 
 
@@ -412,7 +398,6 @@ def _build_problem(cfg: RunConfig) -> tuple[ProblemSpec, GrowthSpec, str]:
     if cfg.config_path:
         spec, growth, label = parse_config(cfg.config_path)
         if cfg.grid_n is not None:
-            _validate_grid(spec.xi, cfg.grid_n)
             spec = replace(spec, grid_n=cfg.grid_n)
         return spec, growth, label
     if cfg.builtin:
@@ -424,10 +409,10 @@ def run(cfg: RunConfig) -> int:
     """Execute one flow; writes report.txt (and solution.csv for solve
     flows) into the output directory.  Never raises on valid input."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines: list[str] = [f"resbvp report: command = {cfg.command}"]
     exit_code = 0
     try:
+        out.mkdir(parents=True, exist_ok=True)
         if cfg.builtin and cfg.config_path:
             raise ConfigError("--builtin and --config cannot be used together; pass one problem source")
         if not (0.0 < cfg.damping <= 1.0):
@@ -498,8 +483,14 @@ def run(cfg: RunConfig) -> int:
         exit_code = 3
 
     text = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
+    try:
+        (out / "report.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        # The report is on stdout already; an --out that could not be
+        # created is named in it too.
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     return exit_code
 
 

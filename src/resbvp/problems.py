@@ -88,8 +88,6 @@ def build_section4(k: int, grid_n: int = 256) -> ProblemSpec:
     """
     if k < 1:
         raise ValueError(f"block count must be positive, got {k}")
-    if grid_n % 4 != 0:
-        raise ValueError(f"grid_n must be a multiple of 4 so xi = 1/4 is a node, got {grid_n}")
     n = 3 * k
     a_op = np.kron(np.eye(k), np.diag(BLOCK_DIAGONAL))
     fixed = BUILTINS["section4"]

@@ -36,8 +36,10 @@ scale kappa making the projection idempotent is
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -88,8 +90,10 @@ class ProblemSpec:
     ``rhs(t, u, v)`` implements f(t, x(t), D^(alpha-1) x(t)) on a batch
     of m points at once: t has shape (m,), u and v have shape (m, n) (row
     j is the point at t[j]), and it must return a finite (m, n) array.
-    ``grid_n`` is the number of uniform subintervals; xi must land on a
-    grid node.
+    ``grid_n`` is the number of uniform subintervals.  This is the one
+    grid rule of every problem source: grid_n >= 8 and xi * grid_n an
+    integer, so that xi lands on a grid node.  ``dataclasses.replace``
+    re-checks it.
     """
 
     ord: Order
@@ -106,11 +110,13 @@ class ProblemSpec:
             raise ValueError(f"boundary operator must be square and non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("boundary operator has non-finite entries")
-        if self.grid_n < 4:
-            raise ValueError(f"grid_n must be at least 4, got {self.grid_n}")
+        if self.grid_n < 8:
+            raise ValueError(f"grid_n must be at least 8, got {self.grid_n}")
         if abs(self.xi * self.grid_n - round(self.xi * self.grid_n)) > 1e-9:
+            q = Fraction(self.xi).limit_denominator(10**6).denominator
             raise ValueError(
-                f"xi = {self.xi} does not lie on the grid with N = {self.grid_n}"
+                f"xi = {self.xi} must land on a grid node: grid_n = {self.grid_n} is invalid, "
+                f"smallest valid grid_n is {q * math.ceil(8 / q)}"
             )
         object.__setattr__(self, "a_op", _freeze(a))
 

@@ -1,10 +1,11 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resbvp.problems as problems
-from resbvp import save_matrix_csv
+from resbvp import Order, ProblemSpec, build_section4, save_matrix_csv
 from resbvp.cli import main, parse_config
 
 
@@ -197,6 +198,13 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="smallest valid grid_n is 10"):
             parse_config(str(path))
 
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file format", 1)[1].split("```\n", 2)[1]
+        spec, growth, label = parse_config(str(self.write_config(tmp_path, block)))
+        assert label == "builtin:section4"
+        assert (spec.ord.alpha, spec.xi, spec.grid_n, spec.dim) == (1.5, 0.25, 256, 3)
+
 
 class TestExitCodes:
     def test_non_resonant_config_exits_one(self, tmp_path):
@@ -346,20 +354,89 @@ class TestExitCodes:
             ("[problem]\ngrid_n = 66\n[operator]\nbuiltin = section4\n", 2),
             ("[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
             ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 3),
+            ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = r.csv\n", 5),
         ],
         ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "g-profile", "c-shape",
              "d-shape", "k-non-positive", "grid-below-8", "builtin-xi-off-grid",
-             "csv-xi-off-grid", "xi-off-default-grid"],
+             "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator"],
     )
     def test_value_error_exits_three_with_line(self, tmp_path, text, line):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
         save_matrix_csv(tmp_path / "b.csv", np.eye(2))
+        save_matrix_csv(tmp_path / "r.csv", np.ones((2, 3)))
         cfg = tmp_path / "p.cfg"
         cfg.write_text(text)
         out = tmp_path / "r"
         code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert f"p.cfg:{line}: " in (out / "report.txt").read_text()
+
+
+    @pytest.mark.parametrize("target", ["out-is-a-file", "report-is-a-directory"])
+    def test_unwritable_output_exits_three(self, tmp_path, capsys, target):
+        out = tmp_path / "r"
+        if target == "out-is-a-file":
+            out.write_text("")
+        else:
+            (out / "report.txt").mkdir(parents=True)
+        code = run_cli(["analyze", "--builtin", "section4", "--grid", "64", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+GRID_ERROR = "xi = 0.25 must land on a grid node: grid_n = 10 is invalid, smallest valid grid_n is 8"
+
+
+class TestOneGridRule:
+    """ProblemSpec alone decides which (xi, grid_n) are valid; every
+    problem source reports its verdict with the same text."""
+
+    @pytest.mark.parametrize(
+        "args, cfg_text, line",
+        [
+            (["solve", "--builtin", "section4", "--grid", "10"], None, None),
+            (["solve", "--config", "{cfg}", "--grid", "10"], "[operator]\nbuiltin = section4\n", None),
+            (["solve", "--config", "{cfg}"], "[problem]\ngrid_n = 10\n[operator]\nbuiltin = section4\n", 2),
+            (
+                ["solve", "--config", "{cfg}"],
+                "[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 10\n[operator]\ncsv = a.csv\n",
+                4,
+            ),
+            (
+                ["solve", "--config", "{cfg}", "--grid", "10"],
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n",
+                None,
+            ),
+            (["verify-example", "--grid", "10"], None, None),
+        ],
+        ids=["builtin", "builtin-config-grid-flag", "builtin-config", "csv-config",
+             "csv-config-grid-flag", "verify-example"],
+    )
+    def test_every_route_reports_the_same_grid_error(self, tmp_path, args, cfg_text, line):
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        cfg = tmp_path / "p.cfg"
+        if cfg_text is not None:
+            cfg.write_text(cfg_text)
+        out = tmp_path / "r"
+        code = run_cli([a.format(cfg=cfg) for a in args] + ["--out", str(out)])
+        assert code == 3
+        prefix = "" if line is None else f"{cfg}:{line}: "
+        assert (out / "report.txt").read_text().splitlines()[-1] == f"error: {prefix}{GRID_ERROR}"
+        assert not (out / "solution.csv").exists()
+
+    def test_library_raises_the_same_text(self):
+        with pytest.raises(ValueError) as exc:
+            build_section4(1, 10)
+        assert str(exc.value) == GRID_ERROR
+        with pytest.raises(ValueError) as exc:
+            ProblemSpec(Order(1.5), 0.25, np.eye(3), lambda t, u, v: u, 10)
+        assert str(exc.value) == GRID_ERROR
+
+    @pytest.mark.parametrize("grid_n", [4, 7])
+    def test_grids_below_eight_rejected(self, grid_n):
+        # xi = 1/4 is a node of N = 4, but no problem source takes N < 8.
+        with pytest.raises(ValueError, match=f"grid_n must be at least 8, got {grid_n}"):
+            build_section4(1, grid_n)
 
 
 class TestBuiltinAndConfigAgree:

@@ -145,9 +145,18 @@ class TestFixedPointMap:
         assert np.linalg.norm(sec4_rdata.matrix @ sec4_rdata.pinv @ gap) <= 1e-8
 
     def test_damped_iteration_contracts(self, sec4_spec, sec4_rdata):
-        report = solve(sec4_spec, sec4_rdata, SolveOptions(relax=0.5, max_iter=60))
+        # From the +2 kernel start, above the rhs switch at ||v|| = 1, the
+        # mixed differences are not monotone (1.01, 0.534, 0.533, ...,
+        # 8.73e-8, 8.76e-8, ...), but the solve converges and its last
+        # difference meets the tolerance, far below the first.
+        c0 = sec4_rdata.kernel @ np.full(sec4_rdata.dim_ker, 2.0)
+        start = DomainElement(c0, GridFn.zeros(sec4_spec.grid_n, sec4_spec.dim))
+        opts = SolveOptions(relax=0.5, max_iter=60, initial=start)
+        report = solve(sec4_spec, sec4_rdata, opts)
         diffs = report.diff_history
-        assert all(diffs[i + 1] <= diffs[i] for i in range(3, len(diffs) - 1))
+        assert report.converged
+        assert diffs[-1] <= opts.tol_fixed_point
+        assert diffs[-1] <= 1e-6 * diffs[0]
 
 
 class TestSolve:
