@@ -4,7 +4,8 @@ Commands
     analyze            resonance decomposition + structural identity checks
     solve              damped fixed-point solve, solution.csv + report.txt
     check-hypotheses   growth margins and sampling probes
-    verify-example     golden-value verification of a builtin problem
+    verify-example     solve of a builtin (section4, grid_n 4096 by default)
+                       plus its golden checks, all on the one grid
 
 A run takes its problem from exactly one source: ``--builtin NAME`` or
 ``--config PATH``; passing both is an input error.  ``--k`` (block
@@ -35,8 +36,8 @@ obeys ``ProblemSpec``'s grid rule: grid_n >= 8, xi * grid_n an integer.
 verify-example; solve starts from the zero element and does not read it.
 
 Exit codes: 0 success; 1 non-resonant problem or failed smallness
-margins; 2 solver non-convergence; 3 input error (a value error in a
-config file names its line as ``<path>:<line>:``).
+margins; 2 solver non-convergence; 3 input or usage error (a value
+error in a config file names its line as ``<path>:<line>:``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .conditions import (
 )
 from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
-from .problems import BUILTINS, PROBE_GRID_CAP, SOLVE_GRID_CAP, Section4Report, verify_section4
+from .problems import BUILTINS, Section4Report, verify_section4
 from .resonance import (
     DomainElement,
     NonResonantError,
@@ -381,20 +382,23 @@ def _golden_lines(report: Section4Report) -> list[str]:
             f"[{status}] {c.name}: computed {_fmt(c.computed)} vs expected "
             f"{_fmt(c.expected)} (residual {_fmt(c.residual)}, tol {_fmt(c.tol)})"
         )
-    lines.append("")
-    lines += _margins_lines(report.margins)
     lines += [
+        "",
         "== kernel feedback sign (sampled) ==",
         f"min inner product        : {_fmt(report.sign_min)}",
         f"max inner product        : {_fmt(report.sign_max)}",
         "",
+        "== notes ==",
     ]
-    lines += _solve_lines(report.solve)
-    lines += ["== notes =="] + [f"- {note}" for note in report.notes] + [""]
-    return lines
+    return lines + [f"- {note}" for note in report.notes] + [""]
 
 
 def _build_problem(cfg: RunConfig) -> tuple[ProblemSpec, GrowthSpec, str]:
+    if cfg.command == "verify-example":
+        if cfg.config_path:
+            raise ConfigError("verify-example runs on a builtin; pass --builtin NAME")
+        grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
+        return _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
     if cfg.config_path:
         spec, growth, label = parse_config(cfg.config_path)
         if cfg.grid_n is not None:
@@ -420,61 +424,51 @@ def run(cfg: RunConfig) -> int:
         if cfg.max_iter < 1:
             raise ConfigError(f"--max-iter must be positive, got {cfg.max_iter}")
         opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter)
-        if cfg.command == "verify-example":
-            if cfg.config_path:
-                raise ConfigError("verify-example runs on a builtin; pass --builtin NAME")
-            grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
-            spec, growth, label = _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
-            report = verify_section4(spec, growth, seed=cfg.seed, opts=opts)
-            probe_n, solve_n = min(grid_n, PROBE_GRID_CAP), min(grid_n, SOLVE_GRID_CAP)
-            lines += [f"problem: {label} k={cfg.k} grid_n={grid_n}"]
-            lines += [f"grids: quadrature={grid_n} probe={probe_n} solve={solve_n}", ""]
-            lines += _golden_lines(report)
-            _write_solution_csv(out / "solution.csv", spec.ord, report.solve.element)
-            if not report.margins.ok:
-                exit_code = 1
-            elif not report.solve.converged:
-                exit_code = 2
-        else:
-            spec, growth, label = _build_problem(cfg)
-            lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
+        spec, growth, label = _build_problem(cfg)
+        lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
+        lines += [
+            "== problem ==",
+            f"alpha                    : {_fmt(spec.ord.alpha)}",
+            f"xi                       : {_fmt(spec.xi)}",
+            f"dimension                : {spec.dim}",
+            f"||A||                    : {_fmt(operator_norm(spec.a_op))}",
+            "",
+        ]
+        rdata = build_resonance(spec)
+        lines += _resonance_lines(rdata)
+        # The margin triple appears on every flow and every outcome;
+        # check-hypotheses prints it with its probes.
+        if cfg.command != "check-hypotheses":
+            margins = check_growth_margins(spec.ord, rdata, growth)
+            lines += _margins_lines(margins)
+        if cfg.command == "analyze":
+            sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
             lines += [
-                "== problem ==",
-                f"alpha                    : {_fmt(spec.ord.alpha)}",
-                f"xi                       : {_fmt(spec.xi)}",
-                f"dimension                : {spec.dim}",
-                f"||A||                    : {_fmt(operator_norm(spec.a_op))}",
+                "== structural identities ==",
+                f"projector identity        : {_fmt(sr.identity_residual)}",
+                f"obstruction idempotency   : {_fmt(sr.obstruction_idem_residual)}",
+                f"obstruction on solvables  : {_fmt(sr.obstruction_on_image_residual)}",
+                f"kernel elements fixed     : {_fmt(sr.kernel_fix_residual)}",
+                f"derivative round trip     : {_fmt(sr.left_inverse_residual)}",
+                f"round trip (t in [.1,.9]) : {_fmt(sr.left_inverse_window)}",
                 "",
             ]
-            rdata = build_resonance(spec)
-            lines += _resonance_lines(rdata)
-            # The margin triple appears on every flow and every outcome;
-            # check-hypotheses prints it with its probes.
-            if cfg.command != "check-hypotheses":
-                lines += _margins_lines(check_growth_margins(spec.ord, rdata, growth))
-            if cfg.command == "analyze":
-                sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
-                lines += [
-                    "== structural identities ==",
-                    f"projector identity        : {_fmt(sr.identity_residual)}",
-                    f"obstruction idempotency   : {_fmt(sr.obstruction_idem_residual)}",
-                    f"obstruction on solvables  : {_fmt(sr.obstruction_on_image_residual)}",
-                    f"kernel elements fixed     : {_fmt(sr.kernel_fix_residual)}",
-                    f"derivative round trip     : {_fmt(sr.left_inverse_residual)}",
-                    f"round trip (t in [.1,.9]) : {_fmt(sr.left_inverse_window)}",
-                    "",
-                ]
-            elif cfg.command == "solve":
-                report = solve(spec, rdata, opts)
-                lines += _solve_lines(report)
-                _write_solution_csv(out / "solution.csv", spec.ord, report.element)
-                if not report.converged:
-                    exit_code = 2
-            elif cfg.command == "check-hypotheses":
-                creport = check_all(spec, rdata, growth, seed=cfg.seed)
-                lines += _conditions_lines(creport)
-                if not creport.margins.ok:
+        elif cfg.command == "check-hypotheses":
+            creport = check_all(spec, rdata, growth, seed=cfg.seed)
+            lines += _conditions_lines(creport)
+            if not creport.margins.ok:
+                exit_code = 1
+        else:
+            # solve and verify-example: one solve, one CSV, one exit rule.
+            if cfg.command == "verify-example":
+                lines += _golden_lines(verify_section4(spec, rdata, seed=cfg.seed))
+                if not margins.ok:
                     exit_code = 1
+            report = solve(spec, rdata, opts)
+            lines += _solve_lines(report)
+            _write_solution_csv(out / "solution.csv", spec.ord, report.element)
+            if exit_code == 0 and not report.converged:
+                exit_code = 2
     except NonResonantError as exc:
         lines += ["", f"error: {exc}"]
         exit_code = 1
@@ -510,7 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolveOptions.max_iter)
     parser.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     parser.add_argument("--out", dest="out_dir", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse's usage-error exit 2 would read as non-convergence.
+        return 3 if exc.code else 0
     try:
         cfg = RunConfig(**vars(args))
     except ConfigError as exc:

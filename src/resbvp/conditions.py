@@ -190,6 +190,8 @@ def probe_large_trace_defect(
     """
     if trace_level <= 0:
         raise ValueError("trace_level must be positive")
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
     n = spec.dim
     ga = gamma(spec.ord.alpha)
@@ -251,6 +253,8 @@ def probe_kernel_sign(
         raise ValueError("kernel_level must be positive")
     if rdata.dim_ker < 1:
         raise ValueError("kernel sign probe needs a nontrivial kernel")
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
     for _ in range(sample_count):

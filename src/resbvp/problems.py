@@ -9,7 +9,9 @@ truncation keeps exactly 3k rows: appending the identity tail rows would
 only add non-resonant directions.
 
 ``verify_section4`` reproduces every recorded reference constant of this
-configuration and reports a residual per entry.  Two recorded targets
+configuration on the problem's own grid and reports a residual per
+entry; it only checks, and leaves the margins and the solve to the
+caller.  Two recorded targets
 are inconsistent with the defining integrals and are retained only as
 recorded: the obstruction-projection prefactor (the recorded value does
 not make the projection idempotent) and the first component of the
@@ -21,25 +23,18 @@ the computed truth and the recorded target, marked failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .conditions import GrowthSpec, MarginsReport, check_growth_margins, probe_kernel_sign
+from .conditions import GrowthSpec, probe_kernel_sign
 from .fracops import GridFn, Order, frac_integral_at, gamma
-from .resonance import (
-    DomainElement,
-    ProblemSpec,
-    RhsCallback,
-    build_resonance,
-)
-from .solver import SolveOptions, SolveReport, apply_rhs, solve
+from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback
+from .solver import apply_rhs
 
 __all__ = [
     "BLOCK_DIAGONAL",
-    "PROBE_GRID_CAP",
-    "SOLVE_GRID_CAP",
     "build_section4",
     "section4_growth",
     "GoldenCheck",
@@ -51,9 +46,6 @@ __all__ = [
 ]
 
 BLOCK_DIAGONAL = (1.5, 1.75, 2.0)
-
-# Grid caps of verify_section4's kernel-sign probe and of its solve.
-PROBE_GRID_CAP, SOLVE_GRID_CAP = 1024, 256
 
 # Reciprocals in the switched branch are taken as 0 at an exactly zero
 # argument (the value the worked constants of this configuration assume);
@@ -129,29 +121,23 @@ class GoldenCheck:
 @dataclass(frozen=True)
 class Section4Report:
     checks: tuple[GoldenCheck, ...]
-    margins: MarginsReport
     sign_min: float
     sign_max: float
-    solve: SolveReport
     notes: tuple[str, ...]
 
 
-def verify_section4(
-    spec: ProblemSpec, growth: GrowthSpec, seed: int = 0, opts: SolveOptions = SolveOptions()
-) -> Section4Report:
+def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> Section4Report:
     """Reproduce the recorded constants of the builtin configuration.
 
-    ``spec`` and ``growth`` are ``build_section4(k, grid_n)`` and
-    ``section4_growth()``.  Matrix entries and margin numbers are checked
-    by arithmetic; the two beta-moment constants by product quadrature at
-    grid_n; the kernel-feedback sign by sampling under ``seed`` at
-    min(grid_n, PROBE_GRID_CAP); the solve runs under ``opts`` at
-    min(grid_n, SOLVE_GRID_CAP).  R does not depend on the grid, so one
-    resonance build serves all three.  Failures are enumerated in the
-    report, never thrown.
+    ``spec`` is ``build_section4(k, grid_n)`` and ``rdata`` its
+    ``build_resonance``.  Matrix entries are checked by arithmetic, the
+    two beta-moment constants by product quadrature at grid_n and the
+    kernel-feedback sign by sampling under ``seed`` at grid_n.  The
+    margins and the solve are not part of it: the command line runs them
+    as it does for ``solve``.  Failures are enumerated in the report,
+    never thrown.
     """
     k, grid_n = spec.dim // 3, spec.grid_n
-    rdata = build_resonance(spec)
     alpha = spec.ord.alpha
     sq_pi = math.sqrt(math.pi)
     checks: list[GoldenCheck] = []
@@ -215,15 +201,11 @@ def verify_section4(
     checks.append(GoldenCheck("h_kernel_feedback_first_recorded", float(h_w[0]), 11.0 / (40.0 * sq_pi), 1e-6))
     checks.append(GoldenCheck("h_kernel_feedback_first_computed", float(h_w[0]), 13.0 / (120.0 * sq_pi), 1e-6))
 
-    margins = check_growth_margins(spec.ord, rdata, growth)
-    probe_spec = replace(spec, grid_n=min(grid_n, PROBE_GRID_CAP))
-    probe = probe_kernel_sign(probe_spec, rdata, kernel_level=1.0, sample_count=50, seed=seed)
+    probe = probe_kernel_sign(spec, rdata, kernel_level=1.0, sample_count=50, seed=seed)
     checks.append(
         GoldenCheck("kernel_sign_strictly_positive", 1.0 if probe.strict_sign == "positive" else 0.0, 1.0, 0.0)
     )
 
-    solve_spec = replace(spec, grid_n=min(grid_n, SOLVE_GRID_CAP))
-    report = solve(solve_spec, rdata, opts)
 
     notes = (
         "range of the resonance matrix is span{e1, e2} per block (computed "
@@ -237,10 +219,8 @@ def verify_section4(
     )
     return Section4Report(
         checks=tuple(checks),
-        margins=margins,
         sign_min=probe.min_inner,
         sign_max=probe.max_inner,
-        solve=report,
         notes=notes,
     )
 

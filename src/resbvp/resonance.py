@@ -378,6 +378,8 @@ def verify_structure(
     (e) differentiating the partial inverse of that rest returns it
         (numerical derivative, loose grid tolerance).
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     n = spec.dim
     ngrid = spec.grid_n

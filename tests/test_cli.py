@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import resbvp.problems as problems
-from resbvp import Order, ProblemSpec, build_section4, save_matrix_csv
+import resbvp.resonance as resonance
+from resbvp import GrowthSpec, Order, ProblemSpec, build_section4, save_matrix_csv
 from resbvp.cli import main, parse_config
 
 
@@ -34,16 +36,47 @@ class TestVerifyExampleFlow:
         assert header[0] == "t"
         assert "x_1" in header and "x_3" in header
         assert "dtrace_1" in header and "dtrace_3" in header
-        assert len(lines) == 258  # header + 257 nodes (solve grid capped at 256)
+        assert len(lines) == 514  # header + 513 nodes: the solve runs on --grid
 
-    def test_report_names_the_grids_used(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "1", "--grid", "512"], ["--k", "2", "--grid", "256", "--damping", "0.8", "--max-iter", "50"]],
+        ids=["k1-n512", "k2-n256-damped"],
+    )
+    def test_is_the_solve_flow_plus_golden_checks(self, tmp_path, flags):
+        verify, plain = tmp_path / "verify", tmp_path / "solve"
+        assert run_cli(["verify-example", "--builtin", "section4", *flags, "--out", str(verify)]) == 0
+        assert run_cli(["solve", "--builtin", "section4", *flags, "--out", str(plain)]) == 0
+        assert (verify / "solution.csv").read_bytes() == (plain / "solution.csv").read_bytes()
+
+        def blocks(out):
+            text = (out / "report.txt").read_text()
+            return {b.splitlines()[0]: b for b in text.split("\n\n") if b.startswith("== ")}
+
+        v, s = blocks(verify), blocks(plain)
+        assert list(s) == ["== problem ==", "== resonance decomposition ==", "== smallness margins ==", "== solver =="]
+        assert {name: v[name] for name in s} == s
+        assert [name for name in v if name not in s] == [
+            "== golden checks ==", "== kernel feedback sign (sampled) ==", "== notes =="
+        ]
+
+    @pytest.mark.parametrize(
+        "command, max_iter, code",
+        [("verify-example", "1", 1), ("verify-example", "200", 1), ("solve", "1", 2), ("solve", "200", 0)],
+    )
+    def test_failed_margins_outrank_non_convergence(self, tmp_path, monkeypatch, command, max_iter, code):
+        # An envelope far too steep for the margins: verify-example exits 1
+        # whether or not the solve converges; solve does not read margins.
+        steep = replace(problems.BUILTINS["section4"], growth=lambda: GrowthSpec(10.0, 10.0))
+        monkeypatch.setitem(problems.BUILTINS, "section4", steep)
         out = tmp_path / "run"
-        run_cli(["verify-example", "--builtin", "section4", "--grid", "512", "--out", str(out)])
-        lines = (out / "report.txt").read_text().splitlines()
-        assert "grids: quadrature=512 probe=512 solve=256" in lines
+        args = [command, "--builtin", "section4", "--grid", "64", "--max-iter", max_iter, "--out", str(out)]
+        assert run_cli(args) == code
+        assert "margins satisfied        : False" in (out / "report.txt").read_text().splitlines()
+        assert (out / "solution.csv").exists()
 
     def test_builds_the_problem_once(self, tmp_path, monkeypatch):
-        grids = []
+        grids, resonance_builds = [], []
         original = problems.build_section4
 
         def counting(k, grid_n=256):
@@ -52,9 +85,31 @@ class TestVerifyExampleFlow:
 
         monkeypatch.setattr(problems, "build_section4", counting)
         monkeypatch.setitem(problems.BUILTINS, "section4", replace(problems.BUILTINS["section4"], build=counting))
-        code = run_cli(["verify-example", "--grid", "512", "--out", str(tmp_path / "run")])
-        assert code == 0
-        assert grids == [512]
+        build_resonance = resonance.build_resonance
+
+        def counting_resonance(spec, *args, **kwargs):
+            resonance_builds.append(spec.grid_n)
+            return build_resonance(spec, *args, **kwargs)
+
+        # Every resbvp module that holds build_resonance reaches it by name.
+        for module in [m for name, m in sys.modules.items() if name.startswith("resbvp")]:
+            if getattr(module, "build_resonance", None) is build_resonance:
+                monkeypatch.setattr(module, "build_resonance", counting_resonance)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\ngrid_n = 512\n[operator]\nbuiltin = section4\n")
+        builtin = ["--builtin", "section4", "--grid", "512"]
+        for args in (
+            ["verify-example", "--grid", "512"],
+            ["solve", *builtin],
+            ["analyze", *builtin],
+            ["check-hypotheses", *builtin],
+            ["solve", "--config", str(cfg)],
+        ):
+            grids.clear()
+            resonance_builds.clear()
+            assert run_cli(args + ["--out", str(tmp_path / "run")]) == 0, args
+            assert grids == [512], args
+            assert resonance_builds == [512], args
 
     def test_solve_reads_max_iter(self, tmp_path):
         out = tmp_path / "run"
@@ -301,6 +356,24 @@ class TestExitCodes:
         assert code == 3
         assert error in (out / "report.txt").read_text().splitlines()
         assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["solve", "--k", "abc"], 3),
+            (["frobnicate"], 3),
+            (["solve", "--builtin", "section4", "--bogus"], 3),
+            (["--help"], 0),
+        ],
+        ids=["bad-int", "unknown-command", "unknown-flag", "help"],
+    )
+    def test_usage_error_exits_three(self, tmp_path, capsys, args, code):
+        # argparse's own usage exit is 2, the solver's non-convergence code.
+        out = tmp_path / "r"
+        assert run_cli(args + ["--out", str(out)]) == code
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "usage: resbvp" in (captured.err if code else captured.out)
 
     def test_missing_source_exits_three(self, tmp_path):
         code = run_cli(["analyze", "--out", str(tmp_path / "r")])

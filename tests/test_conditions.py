@@ -16,6 +16,7 @@ from resbvp import (
     probe_kernel_sign,
     probe_large_trace_defect,
     section4_growth,
+    verify_structure,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -238,3 +239,21 @@ class TestKernelSignProbe:
         )
         with pytest.raises(ValueError, match="positive"):
             probe_kernel_sign(spec, sec4_rdata, 0.0, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "sample, name",
+    [
+        (lambda spec, rd, n: check_growth_bound(spec, section4_growth(), n, seed=0), "sample_count"),
+        (lambda spec, rd, n: probe_large_trace_defect(spec, rd, 1.0, n, seed=0), "sample_count"),
+        (lambda spec, rd, n: probe_kernel_sign(spec, rd, 1.0, n, seed=0), "sample_count"),
+        (lambda spec, rd, n: verify_structure(spec, rd, samples=n, seed=0), "samples"),
+    ],
+    ids=["growth-bound", "trace-defect", "kernel-sign", "structure"],
+)
+@pytest.mark.parametrize("count", [0, -1])
+def test_samplers_refuse_fewer_than_one_sample(sec4_spec, sec4_rdata, sample, name, count):
+    # No samples is no evidence: an empty min/max would read as a strict
+    # sign or a zero defect.
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        sample(sec4_spec, sec4_rdata, count)

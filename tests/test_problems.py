@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import resbvp.problems as problems
 from resbvp import (
     build_resonance,
     build_section4,
@@ -99,9 +100,14 @@ class TestBuildSection4:
             build_section4(1, 50)  # xi = 1/4 off-grid
 
 
+def verify(k, grid_n):
+    spec = build_section4(k, grid_n)
+    return verify_section4(spec, build_resonance(spec), seed=0)
+
+
 @pytest.fixture(scope="module")
 def sec4_report():
-    return verify_section4(build_section4(1, 2048), section4_growth(), seed=0)
+    return verify(1, 2048)
 
 
 class TestVerifySection4:
@@ -145,16 +151,24 @@ class TestVerifySection4:
         assert self._check(report, "kernel_sign_strictly_positive").passed
         assert report.sign_min > 0.0
 
-    def test_margins_and_solve(self, report):
-        assert report.margins.ok
-        assert report.solve.converged
+    def test_probes_on_the_problem_grid(self, monkeypatch):
+        grids = []
+        original = problems.probe_kernel_sign
+
+        def recording(spec, *args, **kwargs):
+            grids.append(spec.grid_n)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(problems, "probe_kernel_sign", recording)
+        verify(1, 2048)
+        assert grids == [2048]
 
     def test_notes_present(self, report):
         assert any("range" in note for note in report.notes)
 
     def test_quadrature_residuals_shrink_with_grid(self):
-        r_small = verify_section4(build_section4(1, 512), section4_growth(), seed=0)
-        r_large = verify_section4(build_section4(1, 2048), section4_growth(), seed=0)
+        r_small = verify(1, 512)
+        r_large = verify(1, 2048)
 
         def resid(rep, name):
             return [c for c in rep.checks if c.name == name][0].residual
@@ -163,7 +177,7 @@ class TestVerifySection4:
             assert resid(r_large, name) < resid(r_small, name)
 
     def test_multi_block_pinv_structure(self):
-        rep = verify_section4(build_section4(3, 512), section4_growth(), seed=0)
+        rep = verify(3, 512)
         c = [c for c in rep.checks if c.name == "pseudoinverse_blocks"][0]
         assert c.passed
 

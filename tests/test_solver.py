@@ -231,6 +231,16 @@ class TestSolve:
         assert report.diverged
         assert not report.converged
 
+    @pytest.mark.parametrize("grid_n, dim", [(64, 3), (256, 2)], ids=["grid", "dimension"])
+    def test_initial_off_the_spec_raises_up_front(self, sec4_spec, sec4_rdata, monkeypatch, grid_n, dim):
+        calls = []
+        monkeypatch.setattr(solver, "apply_rhs", lambda *args: calls.append(args))
+        opts = SolveOptions(initial=DomainElement.zero(grid_n, dim))
+        error = f"grid_n = {grid_n} and dimension {dim}; the problem has grid_n = 256 and dimension 3"
+        with pytest.raises(ValueError, match=error):
+            solve(sec4_spec, sec4_rdata, opts)
+        assert not calls
+
     def test_seeded_kernel_initialization_deterministic(self, sec4_spec, sec4_rdata):
         rng = np.random.default_rng(7)
         c0 = sec4_rdata.kernel @ (0.5 * rng.standard_normal(sec4_rdata.dim_ker))
