@@ -28,6 +28,7 @@ __all__ = [
     "ConditionsReport",
     "check_growth_bound",
     "check_growth_margins",
+    "apriori_bound",
     "probe_large_trace_defect",
     "probe_kernel_sign",
     "check_all",
@@ -133,6 +134,10 @@ class MarginsReport:
         (||I-R^+R||+1)^2 ||lin_u|| ||lin_v||
         ------------------------------------------------ < 1.
         (Gamma(a) - (..)||lin_u||)(Gamma(a) - (..)||lin_v||)
+
+    In ``apriori_bound``'s terms, lam2 = rhs_v / (lhs - rhs_u) and
+    mu1 = rhs_u / (lhs - rhs_v), so ``quotient`` = lam2 * mu1 and ``ok``
+    is the bound's certification test.
     """
 
     lhs: float
@@ -157,6 +162,28 @@ def check_growth_margins(ord: Order, rdata: ResonanceData, growth: GrowthSpec) -
     denom = (lhs - rhs_u) * (lhs - rhs_v)
     quotient = float("inf") if denom <= 0 else (rhs_u * rhs_v) / denom
     return MarginsReport(lhs=lhs, rhs_u=rhs_u, rhs_v=rhs_v, quotient=quotient)
+
+
+def apriori_bound(lam: tuple[float, float, float], mu: tuple[float, float, float]) -> tuple[float, float]:
+    """Least solution of the linear inequality pair behind the a-priori estimate
+
+        z1 <= lam1 + lam2 z2 + lam3,
+        z2 <= mu1 z1 + mu2 + mu3,
+
+    bounded iff lam2 * mu1 < 1, with the bound in closed form:
+    z1 = (lam1 + lam3 + lam2 (mu2 + mu3)) / (1 - lam2 mu1) and
+    z2 = mu1 z1 + mu2 + mu3.  The margins give lam2 = rhs_v / (lhs - rhs_u)
+    and mu1 = rhs_u / (lhs - rhs_v), so lam2 * mu1 is
+    ``MarginsReport.quotient`` and ``margins satisfied`` certifies the bound.
+    """
+    l1, l2, l3 = lam
+    m1, m2, m3 = mu
+    if not all(np.isfinite(c) and c >= 0 for c in (l1, l2, l3, m1, m2, m3)):
+        raise ValueError("all coefficients must be finite and nonnegative")
+    if l2 * m1 >= 1.0:
+        raise ValueError(f"no bound certified: lam2 * mu1 = {l2 * m1:g} >= 1")
+    z1 = (l1 + l3 + l2 * (m2 + m3)) / (1.0 - l2 * m1)
+    return z1, m1 * z1 + m2 + m3
 
 
 @dataclass(frozen=True)
@@ -247,7 +274,7 @@ def probe_kernel_sign(
     """Sample e in ker R with ||e|| > kernel_level, form x = e t^(alpha-1),
     and record <e, J Q N x> extremes.
 
-    Norms are log-uniform in (kernel_level, 100 * kernel_level].
+    Norms are log-uniform in [kernel_level, 100 * kernel_level).
     """
     if kernel_level <= 0:
         raise ValueError("kernel_level must be positive")

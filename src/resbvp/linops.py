@@ -69,8 +69,8 @@ def pinv(m: np.ndarray, tol: float = 0.0) -> PinvResult:
     null-space bases, n_cols - rank and n_rows - rank columns wide.
     """
     a = _check_matrix(m)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     u, s, vt = np.linalg.svd(a)
     smax = s[0] if s.size else 0.0
     tol_used = tol if tol > 0 else np.finfo(float).eps * max(a.shape) * smax

@@ -11,7 +11,9 @@ only add non-resonant directions.
 ``verify_section4`` reproduces every recorded reference constant of this
 configuration on the problem's own grid and reports a residual per
 entry; it only checks, and leaves the margins and the solve to the
-caller.  Two recorded targets
+caller.  Two of its entries show that the scaled operator
+S = xi^(alpha-1) A satisfies neither condition the paper removes,
+S^2 = S or S^2 = I.  Two recorded targets
 are inconsistent with the defining integrals and are retained only as
 recorded: the obstruction-projection prefactor (the recorded value does
 not make the projection idempotent) and the first component of the
@@ -40,8 +42,6 @@ __all__ = [
     "GoldenCheck",
     "Section4Report",
     "verify_section4",
-    "SpecialConditionsReport",
-    "check_special_conditions_fail",
     "BUILTINS",
 ]
 
@@ -176,6 +176,16 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     for i, expected in enumerate((-13.0 / 16.0, -25.0 / 32.0, -3.0 / 4.0)):
         checks.append(GoldenCheck(f"block_xi_shift_{i + 1}", float(diag_mat[i, i]), expected, 1e-14))
 
+    # The paper's headline: S = xi^(alpha-1) A is neither idempotent nor
+    # involutive.  Per block S = diag(3/4, 7/8, 1) and S^2 = diag(9/16, 49/64, 1),
+    # so max|S^2 - S| = 3/16 and max|S^2 - I| = 7/16, both exact in binary.
+    scaled = spec.xi ** (alpha - 1.0) * spec.a_op
+    scaled_sq = scaled @ scaled
+    idem = float(np.max(np.abs(scaled_sq - scaled)))
+    invol = float(np.max(np.abs(scaled_sq - np.eye(spec.dim))))
+    checks.append(GoldenCheck("removed_condition_idempotent_defect", idem, 3.0 / 16.0, 0.0))
+    checks.append(GoldenCheck("removed_condition_involutive_defect", invol, 7.0 / 16.0, 0.0))
+
     # Kernel feedback y = N(e t^(1/2)) with e = sigma * eps_3; sigma = 2
     # locks the switched branch (|| trace || = 2 Gamma(3/2) > 1).
     sigma = 2.0
@@ -222,38 +232,6 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
         sign_min=probe.min_inner,
         sign_max=probe.max_inner,
         notes=notes,
-    )
-
-
-@dataclass(frozen=True)
-class SpecialConditionsReport:
-    """Confirms the builtin operator satisfies neither special algebra.
-
-    Schemes requiring the scaled operator S = xi^(alpha-1) A to be
-    idempotent (S^2 = S) or involutive (S^2 = I) do not apply here; the
-    projection splitting handles the general case.
-    """
-
-    scaled: np.ndarray
-    scaled_squared: np.ndarray
-
-    @property
-    def idempotent_fails(self) -> bool:
-        return not np.allclose(self.scaled_squared, self.scaled)
-
-    @property
-    def involutive_fails(self) -> bool:
-        return not np.allclose(self.scaled_squared, np.eye(3))
-
-
-def check_special_conditions_fail() -> SpecialConditionsReport:
-    """B^2 = diag(9/4, 49/16, 4), so (B/2)^2 = diag(9/16, ...) matches
-    neither B/2 nor the identity: both removed special conditions fail."""
-    b = np.diag(BLOCK_DIAGONAL)
-    scaled = 0.5 * b  # xi^(alpha-1) = (1/4)^(1/2) = 1/2
-    return SpecialConditionsReport(
-        scaled=scaled,
-        scaled_squared=scaled @ scaled,
     )
 
 

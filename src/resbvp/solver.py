@@ -54,7 +54,6 @@ __all__ = [
     "oriented_lift",
     "solve",
     "residuals",
-    "apriori_bound",
 ]
 
 _DIVERGENCE_LIMIT = 1e8
@@ -95,7 +94,7 @@ class SolveOptions:
             raise ValueError(f"relaxation must lie in (0, 1], got {self.relax}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol_fixed_point <= 0 or self.tol_residual <= 0:
+        if not (self.tol_fixed_point > 0 and self.tol_residual > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -383,73 +382,3 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
         bc_consistency=abs(direct - algebraic),
         solvability_defect=solvability,
     )
-
-
-def apriori_bound(
-    lam: tuple[float, float, float],
-    mu: tuple[float, float, float],
-    exps: tuple[float, float] = (0.0, 0.0),
-    tol: float = 1e-10,
-    max_doublings: int = 200,
-) -> tuple[float, float]:
-    """Certified bound for the coupled sublinear inequality pair
-
-        z1 <= lam1 z1^g1 + lam2 z2 + lam3,
-        z2 <= mu1 z1 + mu2 z2^g2 + mu3,
-
-    with g1, g2 in [0, 1).  Solutions are bounded iff lam2*mu1 < 1; a
-    super-solution (G(Z) <= Z componentwise for the monotone map G) is
-    found by doubling, then iterated downward.  G is monotone and each
-    z^g is concave, so every solution below the starting point stays
-    below all iterates; the limit is returned, stable to ``tol``.
-    """
-    l1, l2, l3 = lam
-    m1, m2, m3 = mu
-    g1, g2 = exps
-    if min(l1, l2, l3, m1, m2, m3) < 0:
-        raise ValueError("all coefficients must be nonnegative")
-    if not (0.0 <= g1 < 1.0 and 0.0 <= g2 < 1.0):
-        raise ValueError("exponents must lie in [0, 1)")
-    if l2 * m1 >= 1.0:
-        raise ValueError(f"no bound certified: lam2 * mu1 = {l2 * m1:g} >= 1")
-
-    def g_map(z1: float, z2: float) -> tuple[float, float]:
-        return (l1 * z1**g1 + l2 * z2 + l3, m1 * z1 + m2 * z2**g2 + m3)
-
-    def super_z2(z1: float) -> float:
-        z2 = max(1.0, m3)
-        for _ in range(max_doublings):
-            if m1 * z1 + m2 * z2**g2 + m3 <= z2:
-                break
-            z2 *= 2.0
-        else:
-            raise ValueError("no bound certified: second inequality did not stabilize")
-        # Tighten to the scalar fixed point: the doubling overshoots by up
-        # to 2x, which would effectively halve the certifiable lam2*mu1
-        # range in the outer loop.  Downward iteration from a
-        # super-solution stays a super-solution (the map is monotone).
-        for _ in range(10_000):
-            nxt = m1 * z1 + m2 * z2**g2 + m3
-            if abs(nxt - z2) <= 1e-12 * max(1.0, abs(z2)):
-                return nxt
-            z2 = nxt
-        return z2
-
-    z1 = max(1.0, l3)
-    for _ in range(max_doublings):
-        z2 = super_z2(z1)
-        if l1 * z1**g1 + l2 * z2 + l3 <= z1:
-            break
-        z1 *= 2.0
-    else:
-        raise ValueError("no bound certified: first inequality did not stabilize")
-
-    # Downward monotone iteration to the fixed point below (z1, z2).
-    for _ in range(10_000):
-        n1, n2 = g_map(z1, z2)
-        if math.isclose(n1, z1, rel_tol=0.0, abs_tol=tol) and math.isclose(
-            n2, z2, rel_tol=0.0, abs_tol=tol
-        ):
-            return n1, n2
-        z1, z2 = n1, n2
-    return z1, z2

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resbvp import (
     GrowthSpec,
     Order,
     ProblemSpec,
     RhsEvaluationError,
+    apriori_bound,
     build_resonance,
     build_section4,
     check_growth_bound,
@@ -83,6 +86,85 @@ class TestGrowthMargins:
         assert m1.lhs == m2.lhs
         assert m1.rhs_u == pytest.approx(m2.rhs_u, rel=1e-12)
         assert m1.quotient == pytest.approx(m2.quotient, rel=1e-12)
+
+
+# alpha in (1, 2] puts lhs = Gamma(alpha) in [0.886, 1]; section4's
+# ||I - R^+ R|| + 1 = 2 puts rhs_u, rhs_v on both sides of it.
+_SEC4_RDATA = build_resonance(build_section4(1, 64))
+_COEF = st.floats(min_value=0.0, max_value=10.0)
+
+
+class TestAprioriBound:
+    def test_linear_case_closed_form(self):
+        z1, z2 = apriori_bound((0.1, 0.5, 0.2), (0.5, 0.1, 0.3))
+        assert z1 == pytest.approx(2.0 / 3.0, abs=1e-10)
+        # z2 at the fixed point: mu1 z1 + mu2 + mu3 = 0.5 * 2/3 + 0.4.
+        assert z2 == pytest.approx(0.5 * 2.0 / 3.0 + 0.4, abs=1e-10)
+
+    def test_all_zero(self):
+        assert apriori_bound((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)) == (0.0, 0.0)
+
+    def test_uncertifiable_rejected(self):
+        with pytest.raises(ValueError, match="no bound certified"):
+            apriori_bound((0.0, 1.1, 0.0), (1.1, 0.0, 0.0))
+
+    def test_boundary_product_exactly_one_rejected(self):
+        with pytest.raises(ValueError, match="no bound certified"):
+            apriori_bound((0.0, 2.0, 0.0), (0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_coefficient_rejected(self, slot, bad):
+        # A closed form would return NaN or inf for these instead of raising.
+        coefs = [0.1, 0.5, 0.2, 0.5, 0.1, 0.3]
+        coefs[slot] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            apriori_bound(tuple(coefs[:3]), tuple(coefs[3:]))
+
+    @given(
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=0.9),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_returns_super_solution(self, l1, l2, l3, m1, m2, m3):
+        # A certified pair satisfies both inequalities, up to rounding.
+        if l2 * m1 >= 1.0:
+            return
+        z1, z2 = apriori_bound((l1, l2, l3), (m1, m2, m3))
+        assert l1 + l2 * z2 + l3 <= z1 + 1e-6
+        assert m1 * z1 + m2 + m3 <= z2 + 1e-6
+
+    @given(
+        st.floats(min_value=1.01, max_value=2.0),
+        st.floats(min_value=1e-3, max_value=0.6),
+        st.floats(min_value=0.0, max_value=0.6),
+        _COEF,
+        _COEF,
+        _COEF,
+        _COEF,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_margins_are_the_certification_test(self, alpha, lin_u, lin_v, l1, l3, m2, m3):
+        # lin_u > 0 keeps mu1's sign that of lhs - rhs_v: 0 / negative is
+        # -0.0, which compares as nonnegative.
+        m = check_growth_margins(Order(alpha), _SEC4_RDATA, GrowthSpec(lin_u, lin_v))
+        assume(m.lhs > m.rhs_u and m.lhs != m.rhs_v)
+        # At quotient 1 the two roundings of the same product may disagree.
+        assume(abs(m.quotient - 1.0) > 1e-12)
+        lam2 = m.rhs_v / (m.lhs - m.rhs_u)
+        mu1 = m.rhs_u / (m.lhs - m.rhs_v)
+        if m.lhs > m.rhs_v:
+            assert m.quotient == pytest.approx(lam2 * mu1, rel=4 * np.finfo(float).eps, abs=np.finfo(float).tiny)
+        try:
+            apriori_bound((l1, lam2, l3), (mu1, m2, m3))
+            certified = True
+        except ValueError:
+            certified = False
+        assert certified == m.ok
 
 
 class TestGrowthBound:

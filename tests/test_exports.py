@@ -24,6 +24,15 @@ def test_all_names_exist(name):
     assert not missing
 
 
+def test_package_exports_each_layer():
+    # The command line is the application, not a library layer.
+    layers = [importlib.import_module(m) for m in MODULES if m != "resbvp.cli"]
+    union = [n for layer in layers for n in layer.__all__]
+    assert len(union) == len(set(union))
+    assert set(resbvp.__all__) == set(union)
+    assert all(getattr(resbvp, n) is getattr(layer, n) for layer in layers for n in layer.__all__)
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads (``__future__`` aside)."""
     tree = ast.parse(source)

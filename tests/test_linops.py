@@ -21,6 +21,13 @@ class TestPinv:
         np.testing.assert_allclose(res.pinv, np.diag([4.0, 8.0, 0.0]), atol=1e-12)
         assert res.rank == 2
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        # NaN used to fall back to the default tolerance and inf to zero
+        # every singular value.
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            pinv(np.diag([1.0, 1e-9, 0.0]), tol)
+
     def test_identity(self):
         res = pinv(np.eye(4))
         np.testing.assert_allclose(res.pinv, np.eye(4), atol=1e-15)

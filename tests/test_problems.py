@@ -7,7 +7,6 @@ import resbvp.problems as problems
 from resbvp import (
     build_resonance,
     build_section4,
-    check_special_conditions_fail,
     section4_growth,
     verify_section4,
 )
@@ -182,24 +181,37 @@ class TestVerifySection4:
         assert c.passed
 
 
+@pytest.fixture(scope="module")
+def removed_conditions():
+    """The two removed-condition golden checks of verify_section4 at k = 1 and k = 3."""
+    return [
+        {c.name: c for c in verify(k, 512).checks if c.name.startswith("removed_condition_")} for k in (1, 3)
+    ]
+
+
 class TestSpecialConditions:
-    def test_block_square_entries(self):
-        rep = check_special_conditions_fail()
-        np.testing.assert_allclose(
-            np.diag(4.0 * rep.scaled_squared), [9.0 / 4.0, 49.0 / 16.0, 4.0], rtol=1e-15
-        )
+    # S = xi^(alpha-1) A = A / 2 has blocks B/2 = diag(3/4, 7/8, 1), and
+    # (B/2)^2 = B^2 / 4 = diag(9/16, 49/64, 1).  Both defects are exact in binary.
+    def test_block_square_entries(self, removed_conditions):
+        scaled = np.array(problems.BLOCK_DIAGONAL) / 2.0
+        np.testing.assert_array_equal(4.0 * scaled**2, [9.0 / 4.0, 49.0 / 16.0, 4.0])
+        for checks in removed_conditions:
+            assert checks["removed_condition_idempotent_defect"].computed == np.max(np.abs(scaled**2 - scaled))
+            assert checks["removed_condition_involutive_defect"].computed == np.max(np.abs(scaled**2 - 1.0))
+            assert sorted(checks) == ["removed_condition_idempotent_defect", "removed_condition_involutive_defect"]
+            assert all(c.passed and c.residual == 0.0 for c in checks.values())
 
-    def test_scaled_square_differs_from_scaled(self):
-        rep = check_special_conditions_fail()
-        # (B/2)^2 entry 9/16 vs B/2 entry 3/4.
-        assert rep.scaled_squared[0, 0] == pytest.approx(9.0 / 16.0)
-        assert rep.scaled[0, 0] == pytest.approx(3.0 / 4.0)
-        assert rep.idempotent_fails
+    def test_scaled_square_differs_from_scaled(self, removed_conditions):
+        # (B/2)^2 entry 9/16 vs B/2 entry 3/4: S^2 = S fails by 3/16.
+        for checks in removed_conditions:
+            c = checks["removed_condition_idempotent_defect"]
+            assert c.computed == abs(9.0 / 16.0 - 3.0 / 4.0) == 3.0 / 16.0
 
-    def test_scaled_square_differs_from_identity(self):
-        rep = check_special_conditions_fail()
-        assert rep.scaled_squared[0, 0] != 1.0
-        assert rep.involutive_fails
+    def test_scaled_square_differs_from_identity(self, removed_conditions):
+        # (B/2)^2 entry 9/16 vs 1: S^2 = I fails by 7/16.
+        for checks in removed_conditions:
+            c = checks["removed_condition_involutive_defect"]
+            assert c.computed == 1.0 - 9.0 / 16.0 == 7.0 / 16.0
 
 
 class TestGrowthSpecSection4:

@@ -44,6 +44,11 @@ class TestBuildResonance:
         assert sec4_rdata.dim_ker == 1
         assert sec4_rdata.ep_defect == 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_rank_tol(self, sec4_spec, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            build_resonance(sec4_spec, tol)
+
     def test_section4_k2_kernel_dimension(self):
         rd = build_resonance(build_section4(2, 64))
         assert rd.dim_ker == 2

@@ -8,8 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_resonant_spec
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from resbvp import (
     DomainElement,
@@ -19,7 +17,6 @@ from resbvp import (
     RhsEvaluationError,
     SolveOptions,
     apply_rhs,
-    apriori_bound,
     boundary_functional,
     build_resonance,
     build_section4,
@@ -231,6 +228,14 @@ class TestSolve:
         assert report.diverged
         assert not report.converged
 
+    @pytest.mark.parametrize("field", ["tol_fixed_point", "tol_residual"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_options_reject_nonpositive_tolerances(self, field, bad):
+        # A NaN tol_fixed_point never stops the iteration and a NaN
+        # tol_residual never lets it converge.
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            SolveOptions(**{field: bad})
+
     @pytest.mark.parametrize("grid_n, dim", [(64, 3), (256, 2)], ids=["grid", "dimension"])
     def test_initial_off_the_spec_raises_up_front(self, sec4_spec, sec4_rdata, monkeypatch, grid_n, dim):
         calls = []
@@ -423,48 +428,3 @@ class TestResiduals:
         report = solve(sec4_spec, sec4_rdata, SolveOptions(max_iter=max_iter))
         assert report.residuals == residuals(sec4_spec, sec4_rdata, report.element)
 
-
-class TestAprioriBound:
-    def test_linear_case_closed_form(self):
-        z1, z2 = apriori_bound((0.1, 0.5, 0.2), (0.5, 0.1, 0.3))
-        assert z1 == pytest.approx(2.0 / 3.0, abs=1e-10)
-        # z2 at the fixed point: mu1 z1 + mu2 + mu3 = 0.5 * 2/3 + 0.4.
-        assert z2 == pytest.approx(0.5 * 2.0 / 3.0 + 0.4, abs=1e-10)
-
-    def test_all_zero(self):
-        assert apriori_bound((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)) == (0.0, 0.0)
-
-    def test_uncertifiable_rejected(self):
-        with pytest.raises(ValueError, match="no bound certified"):
-            apriori_bound((0.0, 1.1, 0.0), (1.1, 0.0, 0.0))
-
-    def test_boundary_product_exactly_one_rejected(self):
-        with pytest.raises(ValueError, match="no bound certified"):
-            apriori_bound((0.0, 2.0, 0.0), (0.5, 0.0, 0.0))
-
-    @given(
-        st.floats(min_value=0.0, max_value=2.0),
-        st.floats(min_value=0.0, max_value=0.9),
-        st.floats(min_value=0.0, max_value=3.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=2.0),
-        st.floats(min_value=0.0, max_value=3.0),
-        st.floats(min_value=0.0, max_value=0.9),
-        st.floats(min_value=0.0, max_value=0.9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_returns_super_solution(self, l1, l2, l3, m1, m2, m3, g1, g2):
-        # Any certified pair must dominate one more application of the map
-        # (up to the stabilization tolerance).
-        if l2 * m1 >= 1.0:
-            return
-        z1, z2 = apriori_bound((l1, l2, l3), (m1, m2, m3), (g1, g2))
-        assert l1 * z1**g1 + l2 * z2 + l3 <= z1 + 1e-6
-        assert m1 * z1 + m2 * z2**g2 + m3 <= z2 + 1e-6
-
-    def test_sublinear_terms_honored(self):
-        # gamma > 0 exercises the doubling path; the result solves the
-        # fixed-point system, cross-checked by direct iteration.
-        z1, z2 = apriori_bound((1.5, 0.3, 1.0), (0.4, 2.0, 0.5), (0.5, 0.5))
-        assert z1 == pytest.approx(1.5 * z1**0.5 + 0.3 * z2 + 1.0, abs=1e-8)
-        assert z2 == pytest.approx(0.4 * z1 + 2.0 * z2**0.5 + 0.5, abs=1e-8)
