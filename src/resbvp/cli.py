@@ -9,8 +9,9 @@ Commands
 
 A run takes its problem from exactly one source: ``--builtin NAME`` or
 ``--config PATH``; passing both is an input error.  ``--k`` (block
-count) applies to ``--builtin`` only; a config file sets it in
-[operator].  The file is sectioned key = value text:
+count, default 1) applies to ``--builtin`` only; a config file sets it
+in [operator], and ``--k`` beside ``--config`` is a usage error.  The
+file is sectioned key = value text:
 
     [problem]
     alpha = 1.5
@@ -35,9 +36,11 @@ obeys ``ProblemSpec``'s grid rule: grid_n >= 8, xi * grid_n an integer.
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
 
-Exit codes: 0 success; 1 non-resonant problem or failed smallness
-margins; 2 solver non-convergence; 3 input or usage error (a value
-error in a config file names its line as ``<path>:<line>:``).
+Exit codes: 0 success; 1 non-resonant problem, or failed smallness
+margins in check-hypotheses and verify-example (ahead of
+non-convergence); 2 solver non-convergence; 3 input or usage error (a
+value error in a config file names its line as ``<path>:<line>:``).
+Every command prints the margins once.
 """
 
 from __future__ import annotations
@@ -358,7 +361,7 @@ def _solve_lines(report: SolveReport) -> list[str]:
 
 def _conditions_lines(report: ConditionsReport) -> list[str]:
     g, tp, kp = report.growth_samples, report.trace_probe, report.kernel_probe
-    return _margins_lines(report.margins) + [
+    return [
         "== sampling probes (evidence, not proof) ==",
         f"growth envelope samples  : {g.samples}",
         f"violations               : {g.violations}",
@@ -385,8 +388,8 @@ def _golden_lines(report: Section4Report) -> list[str]:
     lines += [
         "",
         "== kernel feedback sign (sampled) ==",
-        f"min inner product        : {_fmt(report.sign_min)}",
-        f"max inner product        : {_fmt(report.sign_max)}",
+        f"min inner product        : {_fmt(report.kernel_probe.min_inner)}",
+        f"max inner product        : {_fmt(report.kernel_probe.max_inner)}",
         "",
         "== notes ==",
     ]
@@ -436,11 +439,10 @@ def run(cfg: RunConfig) -> int:
         ]
         rdata = build_resonance(spec)
         lines += _resonance_lines(rdata)
-        # The margin triple appears on every flow and every outcome;
-        # check-hypotheses prints it with its probes.
-        if cfg.command != "check-hypotheses":
-            margins = check_growth_margins(spec.ord, rdata, growth)
-            lines += _margins_lines(margins)
+        margins = check_growth_margins(spec.ord, rdata, growth)
+        lines += _margins_lines(margins)
+        if not margins.ok and cfg.command in ("check-hypotheses", "verify-example"):
+            exit_code = 1
         if cfg.command == "analyze":
             sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
             lines += [
@@ -454,16 +456,11 @@ def run(cfg: RunConfig) -> int:
                 "",
             ]
         elif cfg.command == "check-hypotheses":
-            creport = check_all(spec, rdata, growth, seed=cfg.seed)
-            lines += _conditions_lines(creport)
-            if not creport.margins.ok:
-                exit_code = 1
+            lines += _conditions_lines(check_all(spec, rdata, growth, seed=cfg.seed))
         else:
             # solve and verify-example: one solve, one CSV, one exit rule.
             if cfg.command == "verify-example":
                 lines += _golden_lines(verify_section4(spec, rdata, seed=cfg.seed))
-                if not margins.ok:
-                    exit_code = 1
             report = solve(spec, rdata, opts)
             lines += _solve_lines(report)
             _write_solution_csv(out / "solution.csv", spec.ord, report.element)
@@ -496,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", dest="config_path", default=None, help="problem file path")
     parser.add_argument("--builtin", default=None, help="builtin problem name (e.g. section4)")
-    parser.add_argument("--k", type=int, default=1, help="block count for --builtin")
+    parser.add_argument("--k", type=int, default=None, help="block count for --builtin (default 1)")
     parser.add_argument("--grid", dest="grid_n", type=int, default=None, help="grid subintervals")
     parser.add_argument(
         "--damping", type=float, default=SolveOptions.relax, help="relaxation factor in (0, 1]"
@@ -509,6 +506,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse's usage-error exit 2 would read as non-convergence.
         return 3 if exc.code else 0
+    if args.k is None:
+        args.k = 1
+    elif args.config_path and not args.builtin:
+        # Beside --builtin too, run() reports the two problem sources.
+        sys.stderr.write("error: --k applies to --builtin only; a config file sets k in [operator]\n")
+        return 3
     try:
         cfg = RunConfig(**vars(args))
     except ConfigError as exc:

@@ -56,13 +56,15 @@ class GrowthSpec:
         return self.lin_u * nu + self.lin_v * nv + self.offset
 
 
-def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-    return v / norm
+def _random_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m uniform random unit vectors in R^n, one per row; a zero row is drawn again."""
+    d = rng.standard_normal((m, n))
+    # Dot-product row norms are bit-equal to np.linalg.norm per row; axis=1 is not.
+    norms = np.sqrt(np.vecdot(d, d))
+    while (zero := norms == 0.0).any():
+        d[zero] = rng.standard_normal((np.count_nonzero(zero), n))
+        norms[zero] = np.sqrt(np.vecdot(d[zero], d[zero]))
+    return d / norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -92,23 +94,19 @@ def check_growth_bound(
     """Sample (t, u, v) and test || f(t,u,v) || against the envelope.
 
     t is uniform on [0,1]; u and v have uniform random directions with
-    norms log-uniform in [1e-3, 1e3].  f and the envelope are evaluated
-    once on all samples; a wrongly shaped or non-finite value of f raises
-    ``RhsEvaluationError``.
+    norms log-uniform in [1e-3, 1e3].  Each is drawn as one block under
+    ``seed``, in the order t, |u|, u's directions, |v|, v's directions.
+    f and the envelope are evaluated once on all samples; a wrongly
+    shaped or non-finite value of f raises ``RhsEvaluationError``.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
-    n = spec.dim
-    t = np.empty(sample_count)
-    u = np.empty((sample_count, n))
-    v = np.empty((sample_count, n))
-    for i in range(sample_count):
-        t[i] = rng.uniform()
-        u[i] = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
-        v[i] = 10.0 ** rng.uniform(-3, 3) * _random_direction(rng, n)
+    m, n = sample_count, spec.dim
+    t = rng.uniform(size=m)
+    u = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _random_directions(rng, m, n)
+    v = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _random_directions(rng, m, n)
     f = eval_rhs(spec, t, u, v)
-    # Dot-product row norms are bit-equal to np.linalg.norm per row; axis=1 is not.
     envelope = growth.envelope(np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(v, v)))
     slack = envelope - np.sqrt(np.vecdot(f, f))
     worst = int(np.argmin(slack))
@@ -195,7 +193,6 @@ class TraceDefectProbe:
     """
 
     trace_level: float
-    samples: int
     min_defect: float
     max_defect: float
 
@@ -215,8 +212,8 @@ def probe_large_trace_defect(
     keeps it above the level for all t; the same integral then builds
     the trace that f is evaluated at.
     """
-    if trace_level <= 0:
-        raise ValueError("trace_level must be positive")
+    if not (np.isfinite(trace_level) and trace_level > 0):
+        raise ValueError(f"trace_level must be finite and positive, got {trace_level}")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
@@ -231,15 +228,13 @@ def probe_large_trace_defect(
         i1 = cumulative_integral(src).values
         margin = float(np.max(np.linalg.norm(i1, axis=1)))
         scale = (trace_level + margin + 1.0) / ga * (1.0 + rng.uniform())
-        c = scale * _random_direction(rng, n)
+        c = scale * _random_directions(rng, 1, n)[0]
         x = DomainElement(c, src)
         w = GridFn(eval_rhs(spec, t, evaluate(x, spec.ord).values, ga * x.coef + i1))
         defect = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
         lo = min(lo, defect)
         hi = max(hi, defect)
-    return TraceDefectProbe(
-        trace_level=trace_level, samples=sample_count, min_defect=lo, max_defect=hi
-    )
+    return TraceDefectProbe(trace_level=trace_level, min_defect=lo, max_defect=hi)
 
 
 @dataclass(frozen=True)
@@ -251,7 +246,6 @@ class KernelSignProbe:
     """
 
     kernel_level: float
-    samples: int
     min_inner: float
     max_inner: float
 
@@ -276,8 +270,8 @@ def probe_kernel_sign(
 
     Norms are log-uniform in [kernel_level, 100 * kernel_level).
     """
-    if kernel_level <= 0:
-        raise ValueError("kernel_level must be positive")
+    if not (np.isfinite(kernel_level) and kernel_level > 0):
+        raise ValueError(f"kernel_level must be finite and positive, got {kernel_level}")
     if rdata.dim_ker < 1:
         raise ValueError("kernel sign probe needs a nontrivial kernel")
     if sample_count < 1:
@@ -285,37 +279,34 @@ def probe_kernel_sign(
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
     for _ in range(sample_count):
-        z = _random_direction(rng, rdata.dim_ker)
+        z = _random_directions(rng, 1, rdata.dim_ker)[0]
         e = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
         x = DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim))
         w = apply_rhs(spec, x)
         inner = float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w, spec))))
         lo = min(lo, inner)
         hi = max(hi, inner)
-    return KernelSignProbe(
-        kernel_level=kernel_level, samples=sample_count, min_inner=lo, max_inner=hi
-    )
+    return KernelSignProbe(kernel_level=kernel_level, min_inner=lo, max_inner=hi)
 
 
 @dataclass(frozen=True)
 class ConditionsReport:
-    """Aggregate of the margin arithmetic and the sampling probes."""
+    """The three sampling probes; the margins are ``check_growth_margins``'s."""
 
-    margins: MarginsReport
     growth_samples: GrowthSampleReport
     trace_probe: TraceDefectProbe
     kernel_probe: KernelSignProbe
 
 
 def check_all(spec: ProblemSpec, rdata: ResonanceData, growth: GrowthSpec, seed: int = 0) -> ConditionsReport:
-    """Run the margin arithmetic plus all three sampling probes.
+    """Run the three sampling probes.
 
-    The margins and the growth sampler read the same envelope; the growth
-    sampler draws 2000 points, the trace and kernel probes 100 each at
-    level 1.
+    The growth sampler draws 2000 points of ``growth``'s envelope, the
+    trace and kernel probes 100 each at level 1.  The margin arithmetic
+    on the same envelope is ``check_growth_margins``, run by the caller.
     """
-    margins = check_growth_margins(spec.ord, rdata, growth)
-    growth_rep = check_growth_bound(spec, growth, 2000, seed)
-    trace = probe_large_trace_defect(spec, rdata, 1.0, 100, seed + 1)
-    kern = probe_kernel_sign(spec, rdata, 1.0, 100, seed + 2)
-    return ConditionsReport(margins=margins, growth_samples=growth_rep, trace_probe=trace, kernel_probe=kern)
+    return ConditionsReport(
+        growth_samples=check_growth_bound(spec, growth, 2000, seed),
+        trace_probe=probe_large_trace_defect(spec, rdata, 1.0, 100, seed + 1),
+        kernel_probe=probe_kernel_sign(spec, rdata, 1.0, 100, seed + 2),
+    )

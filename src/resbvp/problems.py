@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import GrowthSpec, probe_kernel_sign
+from .conditions import GrowthSpec, KernelSignProbe, probe_kernel_sign
 from .fracops import GridFn, Order, frac_integral_at, gamma
 from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback
 from .solver import apply_rhs
@@ -120,9 +120,10 @@ class GoldenCheck:
 
 @dataclass(frozen=True)
 class Section4Report:
+    """The golden checks, the kernel-sign probe their sign entry reads, and notes."""
+
     checks: tuple[GoldenCheck, ...]
-    sign_min: float
-    sign_max: float
+    kernel_probe: KernelSignProbe
     notes: tuple[str, ...]
 
 
@@ -132,10 +133,10 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     ``spec`` is ``build_section4(k, grid_n)`` and ``rdata`` its
     ``build_resonance``.  Matrix entries are checked by arithmetic, the
     two beta-moment constants by product quadrature at grid_n and the
-    kernel-feedback sign by sampling under ``seed`` at grid_n.  The
-    margins and the solve are not part of it: the command line runs them
-    as it does for ``solve``.  Failures are enumerated in the report,
-    never thrown.
+    kernel-feedback sign by sampling under ``seed`` at grid_n; the report
+    holds that probe.  The margins and the solve are not part of it: the
+    command line runs them as it does for ``solve``.  Failures are
+    enumerated in the report, never thrown.
     """
     k, grid_n = spec.dim // 3, spec.grid_n
     alpha = spec.ord.alpha
@@ -216,7 +217,6 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
         GoldenCheck("kernel_sign_strictly_positive", 1.0 if probe.strict_sign == "positive" else 0.0, 1.0, 0.0)
     )
 
-
     notes = (
         "range of the resonance matrix is span{e1, e2} per block (computed "
         "from the matrix); kernel is the third block coordinate",
@@ -227,12 +227,7 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
         "against recorded targets that are inconsistent with the defining "
         "integrals; the computed values are the faithful ones",
     )
-    return Section4Report(
-        checks=tuple(checks),
-        sign_min=probe.min_inner,
-        sign_max=probe.max_inner,
-        notes=notes,
-    )
+    return Section4Report(checks=tuple(checks), kernel_probe=probe, notes=notes)
 
 
 @dataclass(frozen=True)

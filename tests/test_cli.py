@@ -397,6 +397,16 @@ class TestExitCodes:
         assert "--builtin and --config cannot be used together" in text
         assert not (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize("k", ["7", "1"])
+    def test_k_beside_config_exits_three(self, tmp_path, capsys, k):
+        # The file sets k in [operator]; --k 1 would be silently ignored too.
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[operator]\nbuiltin = section4\nk = 1\n")
+        out = tmp_path / "r"
+        assert run_cli(["analyze", "--config", str(cfg), "--k", k, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "--k applies to --builtin only" in capsys.readouterr().err
+
     def test_empty_operator_exits_three_with_line(self, tmp_path):
         (tmp_path / "a.csv").write_text("0,0\n")
         cfg = tmp_path / "p.cfg"
@@ -525,6 +535,26 @@ class TestBuiltinAndConfigAgree:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+    @pytest.mark.parametrize("command", ["solve", "check-hypotheses"])
+    def test_csv_operator_with_builtin_rhs(self, tmp_path, command):
+        # The section4 operator from a csv file and its rhs by name: the
+        # same problem as --builtin section4 under another label.
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 256\n"
+            "[operator]\ncsv = a.csv\n[rhs]\nbuiltin = section4\n"
+        )
+        a, b = tmp_path / "builtin", tmp_path / "config"
+        assert run_cli([command, "--builtin", "section4", "--grid", "256", "--out", str(a)]) == 0
+        assert run_cli([command, "--config", str(cfg), "--out", str(b)]) == 0
+        ref, got = ((out / "report.txt").read_text().splitlines() for out in (a, b))
+        assert got[1] == "problem: csv+builtin-rhs grid_n=256"
+        assert got[2:] == ref[2:]
+        if command == "solve":
+            assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
+
+
 class TestAnalyzeAndHypotheses:
     def test_analyze_section4(self, tmp_path):
         out = tmp_path / "run"
@@ -562,3 +592,18 @@ class TestAnalyzeAndHypotheses:
         assert "gamma(alpha)  (lhs)" in text
         assert "product quotient" in text
         assert "margins satisfied        : False" in text
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("analyze", 0), ("solve", 0), ("check-hypotheses", 1), ("verify-example", 1)],
+    )
+    def test_margins_printed_once_and_one_exit_rule(self, tmp_path, monkeypatch, command, code):
+        # Every command prints the margins once; failed margins make
+        # check-hypotheses and verify-example exit 1, and no other command.
+        steep = replace(problems.BUILTINS["section4"], growth=lambda: GrowthSpec(10.0, 10.0))
+        monkeypatch.setitem(problems.BUILTINS, "section4", steep)
+        out = tmp_path / "run"
+        assert run_cli([command, "--builtin", "section4", "--grid", "64", "--out", str(out)]) == code
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines.count("== smallness margins ==") == 1
+        assert "margins satisfied        : False" in lines

@@ -323,6 +323,17 @@ class TestKernelSignProbe:
             probe_kernel_sign(spec, sec4_rdata, 0.0, 10, seed=0)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "probe, name",
+    [(probe_large_trace_defect, "trace_level"), (probe_kernel_sign, "kernel_level")],
+    ids=["trace-defect", "kernel-sign"],
+)
+def test_probes_reject_non_finite_level(sec4_spec, sec4_rdata, probe, name, level):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        probe(sec4_spec, sec4_rdata, level, 10, seed=0)
+
+
 @pytest.mark.parametrize(
     "sample, name",
     [

@@ -2,16 +2,19 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import resbvp
+from resbvp.cli import RunConfig
 
 # resbvp.__main__ runs the command line on import.
 MODULES = [m.name for m in pkgutil.iter_modules(resbvp.__path__, "resbvp.") if m.name != "resbvp.__main__"]
 SOURCES = sorted(p for p in Path(resbvp.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 # Traced names whose function is already gone; the benchmark's table
 # drops them when it is next re-baselined.
 UNTRACEABLE = {"linops.kernel_basis"}
@@ -64,6 +67,21 @@ def _traced_names() -> list[str]:
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return [f"{layer}.{name}" for layer, names in tracing.TRACED.items() for name in names]
+
+
+def test_every_workload_builds_its_run_config(tmp_path, monkeypatch):
+    # The benchmark builds each flow's inputs and RunConfig outside the
+    # flow's error handling, so an exception here fails the whole run.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        if workload.generated:
+            workloads.write_affine_inputs(0, tmp_path / "input")
+        cfg = workload.run_config(0, tmp_path / name, tmp_path / "input")
+        assert isinstance(cfg, RunConfig) and cfg.command == workload.command, name
 
 
 def test_every_traced_function_exists():

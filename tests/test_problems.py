@@ -148,7 +148,7 @@ class TestVerifySection4:
 
     def test_kernel_sign_check(self, report):
         assert self._check(report, "kernel_sign_strictly_positive").passed
-        assert report.sign_min > 0.0
+        assert report.kernel_probe.min_inner > 0.0
 
     def test_probes_on_the_problem_grid(self, monkeypatch):
         grids = []
