@@ -64,16 +64,7 @@ from .conditions import (
 from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
 from .problems import BUILTINS, Section4Report, verify_section4
-from .resonance import (
-    DomainElement,
-    NonResonantError,
-    ProblemSpec,
-    ResonanceData,
-    build_resonance,
-    derivative_trace,
-    evaluate,
-    verify_structure,
-)
+from .resonance import NonResonantError, ProblemSpec, ResonanceData, build_resonance, verify_structure
 from .solver import RhsEvaluationError, SolveOptions, SolveReport, solve
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -301,11 +292,10 @@ def _fmt(v: float) -> str:
 _CSV_BLOCK_ROWS = 512
 
 
-def _write_solution_csv(path: Path, ord: Order, element: DomainElement) -> None:
-    """Write t, x and the derivative trace in ``_fmt``'s format, streamed in row blocks."""
-    x = evaluate(element, ord).values
-    d = derivative_trace(element, ord).values
-    t = element.source.nodes
+def _write_solution_csv(path: Path, report: SolveReport) -> None:
+    """Write t, x and the derivative trace (``residuals``' samples) in ``_fmt``'s format, in row blocks."""
+    x, d = report.residuals.samples
+    t = report.element.source.nodes
     n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
     row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
@@ -463,7 +453,7 @@ def run(cfg: RunConfig) -> int:
                 lines += _golden_lines(verify_section4(spec, rdata, seed=cfg.seed))
             report = solve(spec, rdata, opts)
             lines += _solve_lines(report)
-            _write_solution_csv(out / "solution.csv", spec.ord, report.element)
+            _write_solution_csv(out / "solution.csv", report)
             if exit_code == 0 and not report.converged:
                 exit_code = 2
     except NonResonantError as exc:

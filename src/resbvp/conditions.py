@@ -5,7 +5,8 @@ envelope on the right-hand side, evidence that large-trace elements
 leave the solvable range, and a fixed sign of the kernel feedback.  The
 first reduces to closed-form margins; the other two quantify over
 infinite sets, so this module provides *sampling evidence* only, clearly
-labeled as such, deterministic under a seed.
+labeled as such, deterministic under a seed.  Probe elements are exact
+sums of powers, evaluated in stacked rhs calls (``rhs_functionals``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import GridFn, Order, cumulative_integral, gamma
+from .fracops import Order, gamma, power_rule
 from .linops import operator_norm
-from .resonance import DomainElement, ProblemSpec, ResonanceData, boundary_functional, evaluate
-from .solver import apply_rhs, eval_rhs
+from .resonance import ProblemSpec, ResonanceData
+from .solver import eval_rhs, rhs_functionals
 
 __all__ = [
     "GrowthSpec",
@@ -207,34 +208,34 @@ def probe_large_trace_defect(
     """Sample domain elements with uniformly large trace, measure
     || (I - R R^+) h(N x) || and report the extremes.
 
-    The trace is Gamma(alpha) coef + int_0^t source; picking
-    || Gamma(alpha) coef || above trace_level + max_t || int_0^t source ||
-    keeps it above the level for all t; the same integral then builds
-    the trace that f is evaluated at.
+    Each sample draws a quadratic source y (O(1) coefficients), a uniform
+    number and a direction.  x = coef t^(alpha-1) + I^alpha y and its trace
+    Gamma(alpha) coef + int_0^t y are sums of powers, sampled exactly; a
+    || Gamma(alpha) coef || above trace_level + max_t || int_0^t y || keeps
+    the trace above the level.  h(N x) comes from ``rhs_functionals``.
     """
     if not (np.isfinite(trace_level) and trace_level > 0):
         raise ValueError(f"trace_level must be finite and positive, got {trace_level}")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
-    n = spec.dim
-    ga = gamma(spec.ord.alpha)
-    t = np.linspace(0.0, 1.0, spec.grid_n + 1)
-    lo, hi = np.inf, 0.0
-    for _ in range(sample_count):
-        # Smooth random source: quadratic in t with O(1) coefficients.
-        coefs = rng.standard_normal((3, n))
-        src = GridFn(coefs[0] + np.outer(t, coefs[1]) + np.outer(t**2, coefs[2]))
-        i1 = cumulative_integral(src).values
-        margin = float(np.max(np.linalg.norm(i1, axis=1)))
-        scale = (trace_level + margin + 1.0) / ga * (1.0 + rng.uniform())
-        c = scale * _random_directions(rng, 1, n)[0]
-        x = DomainElement(c, src)
-        w = GridFn(eval_rhs(spec, t, evaluate(x, spec.ord).values, ga * x.coef + i1))
-        defect = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
-        lo = min(lo, defect)
-        hi = max(hi, defect)
-    return TraceDefectProbe(trace_level=trace_level, min_defect=lo, max_defect=hi)
+    n, alpha, ga = spec.dim, spec.ord.alpha, gamma(spec.ord.alpha)
+    coefs, ups, dirs = np.empty((sample_count, 3, n)), np.empty(sample_count), np.empty((sample_count, n))
+    for i in range(sample_count):
+        coefs[i], ups[i], dirs[i] = rng.standard_normal((3, n)), rng.uniform(), _random_directions(rng, 1, n)[0]
+    t = np.linspace(0.0, 1.0, spec.grid_n + 1)[:, None]
+    # t^(alpha-1+k), k = 0..3, in x and t^k / k, k = 1..3, in int_0^t y.
+    x_powers, integral_powers = t ** (alpha - 1.0 + np.arange(4)), t ** np.arange(1, 4) / np.arange(1, 4)
+    rules = np.array([power_rule(k, alpha) for k in range(3)])[:, None]
+
+    def sample(s: slice) -> tuple[np.ndarray, np.ndarray]:
+        integral = integral_powers @ coefs[s]
+        margin = np.sqrt(np.vecdot(integral, integral)).max(axis=1)
+        c = ((trace_level + margin + 1.0) / ga * (1.0 + ups[s]))[:, None] * dirs[s]
+        return x_powers @ np.concatenate((c[:, None], rules * coefs[s]), axis=1), ga * c[:, None] + integral
+
+    defects = np.linalg.norm(rhs_functionals(spec, sample_count, sample) @ rdata.offrange_proj.T, axis=1)
+    return TraceDefectProbe(trace_level, float(defects.min()), float(defects.max()))
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,8 @@ def probe_kernel_sign(
     """Sample e in ker R with ||e|| > kernel_level, form x = e t^(alpha-1),
     and record <e, J Q N x> extremes.
 
-    Norms are log-uniform in [kernel_level, 100 * kernel_level).
+    Norms are log-uniform in [kernel_level, 100 * kernel_level).  x and its
+    trace Gamma(alpha) e are sampled exactly (x has no source).
     """
     if not (np.isfinite(kernel_level) and kernel_level > 0):
         raise ValueError(f"kernel_level must be finite and positive, got {kernel_level}")
@@ -277,16 +279,14 @@ def probe_kernel_sign(
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    for _ in range(sample_count):
+    es = np.empty((sample_count, spec.dim))
+    for e in es:
         z = _random_directions(rng, 1, rdata.dim_ker)[0]
-        e = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
-        x = DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim))
-        w = apply_rhs(spec, x)
-        inner = float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w, spec))))
-        lo = min(lo, inner)
-        hi = max(hi, inner)
-    return KernelSignProbe(kernel_level=kernel_level, min_inner=lo, max_inner=hi)
+        e[:] = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
+    power, ga = np.linspace(0.0, 1.0, spec.grid_n + 1)[:, None] ** spec.ord.alpha_m1, gamma(spec.ord.alpha)
+    h = rhs_functionals(spec, sample_count, lambda s: (power * es[s, None], ga * es[s, None]))
+    inner = [float(e @ (rdata.lift @ rdata.obstruction(hi))) for e, hi in zip(es, h)]
+    return KernelSignProbe(kernel_level, min(inner), max(inner))
 
 
 @dataclass(frozen=True)

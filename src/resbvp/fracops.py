@@ -265,20 +265,20 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
     return GridFn(scale * out)
 
 
-def frac_integral_at(y: GridFn, a: float, nodes: Sequence[int]) -> np.ndarray:
+def frac_integral_at(y: GridFn | np.ndarray, a: float, nodes: Sequence[int]) -> np.ndarray:
     """Rows j of ``frac_integral(y, a)`` for j in nodes, without the full sweep.
 
     Row j is one dot product of the reversed weights with y_1..y_j, O(N)
     per node and component; returns an array of shape (len(nodes), dim).
     """
     _check_integration_order(a)
-    n = y.n_intervals
+    v = y.values if isinstance(y, GridFn) else y
+    n = v.shape[0] - 1
     if any(not 0 <= j <= n for j in nodes):
         raise ValueError(f"nodes must lie in [0, {n}], got {list(nodes)}")
     b, w0, _ = _product_trapezoid_weights(a, n)
-    v = y.values
     rows = [b[:j][::-1] @ v[1 : j + 1] + w0[j] * v[0] for j in nodes]
-    scale = y.step ** a / gamma(a + 2.0)
+    scale = (1.0 / n) ** a / gamma(a + 2.0)
     return scale * np.array(rows)
 
 

@@ -256,19 +256,20 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
     )
 
 
-def boundary_functional(y: GridFn, spec: ProblemSpec) -> np.ndarray:
+def boundary_functional(y: GridFn | np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
 
     xi must lie on a node of y's grid; the two kernel integrals are the
     quadrature's values at nodes xi and 1 alone, without a full sweep.
     """
-    if y.dim != spec.dim:
-        raise ValueError(f"grid dim {y.dim} != operator dim {spec.dim}")
-    n = y.n_intervals
+    v = y.values if isinstance(y, GridFn) else y
+    if v.shape[1] != spec.dim:
+        raise ValueError(f"grid dim {v.shape[1]} != operator dim {spec.dim}")
+    n = v.shape[0] - 1
     jxi = spec.xi * n
     if abs(jxi - round(jxi)) > 1e-9:
         raise ValueError(f"xi = {spec.xi} is not a node of the N = {n} grid")
-    at_xi, at_one = frac_integral_at(y, spec.ord.alpha, (int(round(jxi)), n))
+    at_xi, at_one = frac_integral_at(v, spec.ord.alpha, (int(round(jxi)), n))
     return spec.a_op @ at_xi - at_one
 
 

@@ -28,11 +28,12 @@ information from the residuals of past iterates alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .fracops import GridFn, PowerFn, frac_derivative, frac_integral
+from .fracops import GridFn, PowerFn, cumulative_integral, frac_derivative, frac_integral, gamma
 from .resonance import (
     DomainElement,
     ProblemSpec,
@@ -50,6 +51,7 @@ __all__ = [
     "SolveReport",
     "eval_rhs",
     "apply_rhs",
+    "rhs_functionals",
     "fixed_point_map",
     "oriented_lift",
     "solve",
@@ -62,6 +64,8 @@ _GAIN_STEP = 1e-6
 # The probed gain is inverted only when its smallest singular value
 # exceeds this many ulps of the rhs values per secant step.
 _GAIN_NOISE_ULPS = 1e3
+# Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element).
+_RHS_CHUNK_VALUES = 3072
 # Anderson mixing fits the residual by at most this many residual differences.
 _MIX_DEPTH = 4
 # The mixing fit is refused when its Gram matrix's condition number exceeds this.
@@ -109,7 +113,7 @@ class ResidualBlock:
     solvability_defect is || (I - R R^+) h(N x) ||, and pde_residual is
     the interior sup-norm of D^alpha x - f(t, x, D^(alpha-1) x) with the
     kernel-power part of x differentiated exactly (it vanishes) and the
-    I^alpha part re-differentiated numerically.
+    I^alpha part re-differentiated numerically, all on ``samples`` (x, D^(alpha-1) x).
     pde_residual is a verifier figure: it peaks at node 2 (t = 2/N), the
     boundary layer of that re-differentiation, and does not track the
     solution's grid error (section4, k = 1: 1.2778e-4 at N = 256 and at
@@ -120,6 +124,7 @@ class ResidualBlock:
     right_bc_defect: float
     bc_consistency: float
     solvability_defect: float
+    samples: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,27 @@ def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
     return GridFn(eval_rhs(spec, x.source.nodes, xv, tv))
 
 
+def rhs_functionals(spec: ProblemSpec, count: int, sample: Callable[[slice], tuple]) -> np.ndarray:
+    """h(N x_i) of ``count`` elements, one row each, from stacked rhs calls.
+
+    ``sample(s)`` returns x_i and D^(alpha-1) x_i on the grid for i in the
+    slice s, each broadcastable to (len(s), N+1, n).  A chunk of at most
+    ``_RHS_CHUNK_VALUES`` values (at least one element) is one ``eval_rhs``
+    call and the only one held; each row is ``boundary_functional`` of one
+    element's rhs samples, so it does not depend on the chunking.
+    """
+    rows, n = spec.grid_n + 1, spec.dim
+    per = max(1, _RHS_CHUNK_VALUES // (rows * n))
+    t, h = np.tile(np.linspace(0.0, 1.0, rows), min(per, count)), np.empty((count, n))
+    for lo in range(0, count, per):
+        shape = (min(per, count - lo), rows, n)
+        u, v = (np.broadcast_to(a, shape).reshape(-1, n) for a in sample(slice(lo, lo + shape[0])))
+        w = eval_rhs(spec, t[: u.shape[0]], u, v).reshape(shape)
+        h[lo : lo + shape[0]] = [boundary_functional(wi, spec) for wi in w]
+        del u, v, w  # not held while the next chunk is sampled
+    return h
+
+
 def fixed_point_map(
     spec: ProblemSpec, rdata: ResonanceData, coef: np.ndarray, w: GridFn
 ) -> DomainElement:
@@ -195,22 +221,22 @@ def oriented_lift(
 
     a dim_ker x dim_ker matrix.  With the lift K S K^T J and S = -G^-1
     the rate is (1 - relax) I.  G is measured by forward secants of step
-    1e-6 max(1, ||coef||), one ``apply_rhs`` per kernel direction: dim_ker
-    rhs calls beside the caller's w, and dim_ker I^alpha sweeps of x's
-    source (none from a zero source).  When the smallest singular value
-    of G does not clear the secant's rounding level (the rhs hardly sees
-    the kernel coordinates), S = I and J itself is returned.
+    1e-6 max(1, ||coef||) along each kernel direction.  They move coef
+    alone, so one I^alpha sweep of x's source (none from a zero source)
+    serves all dim_ker, and one ``rhs_functionals`` call evaluates them.
+    When the smallest singular value of G does not clear the secant's
+    rounding level (the rhs hardly sees the kernel coordinates), S = I and
+    J itself is returned.
     """
     ker = rdata.kernel
     step = _GAIN_STEP * max(1.0, float(np.linalg.norm(x.coef)))
     noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))) / step
+    iv, iy = frac_integral(x.source, spec.ord.alpha).values, cumulative_integral(x.source).values
+    power, ga = x.source.nodes[:, None] ** spec.ord.alpha_m1, gamma(spec.ord.alpha)
+    coefs = (x.coef + step * ker.T)[:, None]
+    h = rhs_functionals(spec, rdata.dim_ker, lambda s: (power * coefs[s] + iv, ga * coefs[s] + iy))
     # h is linear, so the secants difference h values.
-    h0 = boundary_functional(w, spec)
-    shifts = [
-        boundary_functional(apply_rhs(spec, DomainElement(x.coef + e, x.source)), spec) - h0
-        for e in step * ker.T
-    ]
-    gain = ker.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
+    gain = ker.T @ rdata.lift @ rdata.obstruction((h - boundary_functional(w, spec)).T) / step
     if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
@@ -367,18 +393,21 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
     ia = frac_integral(x.source, spec.ord.alpha)
     nodes = x.source.nodes
     xv = PowerFn(x.coef, spec.ord.alpha_m1).sample(nodes) + ia.values
-    w = eval_rhs(spec, nodes, xv, derivative_trace(x, spec.ord).values)
     # D^alpha x = D^alpha(coef t^(alpha-1)) + D^alpha I^alpha source; the
     # first term vanishes exactly, the second is re-differentiated.
     dsource = frac_derivative(ia, spec.ord)
-    pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w[2 : n - 1], axis=1)))
     hy = spec.a_op @ ia.values[spec.xi_node] - ia.values[n]
+    del ia  # not held beside the trace and w, which are formed next
+    tv = derivative_trace(x, spec.ord).values
+    w = eval_rhs(spec, nodes, xv, tv)
+    pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w[2 : n - 1], axis=1)))
     algebraic = float(np.linalg.norm(rdata.matrix @ x.coef - hy))
     direct = float(np.linalg.norm(xv[n] - spec.a_op @ xv[spec.xi_node]))
-    solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(GridFn(w), spec)))
+    solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
     return ResidualBlock(
         pde_residual=pde,
         right_bc_defect=direct,
         bc_consistency=abs(direct - algebraic),
         solvability_defect=solvability,
+        samples=(xv, tv),
     )

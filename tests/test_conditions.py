@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,21 +8,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resbvp import (
+    DomainElement,
+    GridFn,
     GrowthSpec,
     Order,
     ProblemSpec,
     RhsEvaluationError,
+    apply_rhs,
     apriori_bound,
+    boundary_functional,
     build_resonance,
     build_section4,
     check_growth_bound,
     check_growth_margins,
+    cumulative_integral,
+    eval_rhs,
+    evaluate,
     gamma,
     probe_kernel_sign,
     probe_large_trace_defect,
     section4_growth,
     verify_structure,
 )
+from resbvp import solver
+from resbvp.conditions import _random_directions
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -350,3 +361,98 @@ def test_samplers_refuse_fewer_than_one_sample(sec4_spec, sec4_rdata, sample, na
     # sign or a zero defect.
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         sample(sec4_spec, sec4_rdata, count)
+
+
+def _affine_spec() -> ProblemSpec:
+    """f = C u + D v + 1 with A = diag(2, 1), so R = diag(0, 1/2): rows mixed by matrix products."""
+    c_mat = np.array([[0.5, 0.0], [0.0, 0.5]])
+    d_mat = np.array([[0.0, 0.25], [0.25, 0.0]])
+    return ProblemSpec(
+        Order(1.5), 0.25, np.diag([2.0, 1.0]), lambda t, u, v: u @ c_mat.T + v @ d_mat.T + 1.0, 64
+    )
+
+
+def _quadrature_trace_probe(spec, rdata, level, count, seed):
+    """The range-escape extremes with each quadratic source's I^alpha and
+    int_0^t taken by quadrature on the grid, one element at a time, on the
+    draws of ``probe_large_trace_defect``."""
+    rng = np.random.default_rng(seed)
+    ga = gamma(spec.ord.alpha)
+    t = np.linspace(0.0, 1.0, spec.grid_n + 1)
+    defects = []
+    for _ in range(count):
+        coefs = rng.standard_normal((3, spec.dim))
+        source = GridFn(coefs[0] + np.outer(t, coefs[1]) + np.outer(t**2, coefs[2]))
+        integral = cumulative_integral(source).values
+        margin = float(np.max(np.linalg.norm(integral, axis=1)))
+        scale = (level + margin + 1.0) / ga * (1.0 + rng.uniform())
+        c = scale * _random_directions(rng, 1, spec.dim)[0]
+        w = eval_rhs(spec, t, evaluate(DomainElement(c, source), spec.ord).values, ga * c + integral)
+        defects.append(float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec))))
+    return min(defects), max(defects)
+
+
+class TestBatchedProbes:
+    """Both probes take h(N x) from ``rhs_functionals``' stacked, chunked rhs calls."""
+
+    @pytest.mark.parametrize("cap", [1, 10**9], ids=["one-element", "all-elements"])
+    @pytest.mark.parametrize("problem", ["section4", "affine"])
+    def test_figures_do_not_depend_on_chunk_size(self, monkeypatch, cap, problem):
+        spec = build_section4(1, 256) if problem == "section4" else _affine_spec()
+        rdata = build_resonance(spec)
+
+        def probes(spec):
+            return (
+                probe_large_trace_defect(spec, rdata, 1.0, 30, seed=1),
+                probe_kernel_sign(spec, rdata, 1.0, 30, seed=2),
+            )
+
+        expected = probes(spec)
+        calls = []
+        counted = dataclasses.replace(spec, rhs=lambda t, u, v: calls.append(t.size) or spec.rhs(t, u, v))
+        monkeypatch.setattr(solver, "_RHS_CHUNK_VALUES", cap)
+        assert probes(counted) == expected
+        assert len(calls) == (60 if cap == 1 else 2)
+
+    @pytest.mark.parametrize("cap", [None, 10**9], ids=["default", "all-elements"])
+    def test_kernel_sign_equals_per_sample_reference(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(solver, "_RHS_CHUNK_VALUES", cap)
+        spec = build_section4(2, 1024)
+        rdata = build_resonance(spec)
+        probe = probe_kernel_sign(spec, rdata, 1.0, 40, seed=3)
+        rng = np.random.default_rng(3)
+        inners = []
+        for _ in range(40):
+            z = _random_directions(rng, 1, rdata.dim_ker)[0]
+            e = rdata.kernel @ z * (1.0 * 10.0 ** rng.uniform(0.0, 2.0))
+            w = apply_rhs(spec, DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim)))
+            inners.append(float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w, spec)))))
+        assert (probe.min_inner, probe.max_inner) == (min(inners), max(inners))
+
+    def test_trace_probe_is_the_quadrature_path_without_its_error(self):
+        # The exact power path removes the quadrature's O(h^2) error: the
+        # gap to the quadrature path shrinks 16x per 4x grid refinement.
+        gaps = []
+        for grid_n in (256, 1024):
+            spec = build_section4(1, grid_n)
+            rdata = build_resonance(spec)
+            probe = probe_large_trace_defect(spec, rdata, 1.0, 100, seed=1)
+            lo, hi = _quadrature_trace_probe(spec, rdata, 1.0, 100, seed=1)
+            gaps.append(max(abs(probe.min_defect - lo) / lo, abs(probe.max_defect - hi) / hi))
+        assert gaps[0] <= 1e-5
+        assert 0.0 < gaps[1] <= gaps[0] / 8.0
+
+    def test_trace_probe_holds_one_chunk_at_a_time(self):
+        spec = build_section4(1, 65536)
+        rdata = build_resonance(spec)
+        probe_large_trace_defect(spec, rdata, 1.0, 1, seed=1)  # caches the quadrature weights
+        tracemalloc.start()
+        try:
+            probe_large_trace_defect(spec, rdata, 1.0, 4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 8 grid arrays with one element per rhs call; all four
+        # elements in one call take about 23.
+        assert peak < 10 * (spec.grid_n + 1) * spec.dim * 8

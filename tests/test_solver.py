@@ -29,7 +29,7 @@ from resbvp import (
     residuals,
     solve,
 )
-from resbvp import solver
+from resbvp import resonance, solver
 from resbvp.cli import parse_config
 
 SQRT_PI = math.sqrt(math.pi)
@@ -365,6 +365,32 @@ class TestOrientedLift:
         phi = fixed_point_map(spec, rdata, x0.coef, w0)
         np.testing.assert_array_equal(report.element.coef, 0.5 * x0.coef + 0.5 * phi.coef)
 
+    def test_one_sweep_of_a_nonzero_source(self, monkeypatch):
+        spec = build_section4(2, 256)
+        rdata = build_resonance(spec)
+        rng = np.random.default_rng(4)
+        x0 = DomainElement(
+            rng.standard_normal(spec.dim), GridFn(rng.standard_normal((spec.grid_n + 1, spec.dim)))
+        )
+        w0 = apply_rhs(spec, x0)
+        # G by one apply_rhs per kernel direction.
+        step = 1e-6 * max(1.0, float(np.linalg.norm(x0.coef)))
+        h0 = boundary_functional(w0, spec)
+        shifts = [
+            boundary_functional(apply_rhs(spec, DomainElement(x0.coef + e, x0.source)), spec) - h0
+            for e in step * rdata.kernel.T
+        ]
+        expected = rdata.kernel.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
+        nonzero = []
+        for module in (solver, resonance):
+            original = module.frac_integral
+            monkeypatch.setattr(
+                module, "frac_integral", lambda y, a, f=original: nonzero.append(y.values.any()) or f(y, a)
+            )
+        gain, _ = oriented_lift(spec, rdata, x0, w0)
+        assert nonzero == [True]
+        np.testing.assert_allclose(gain, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
+
     def test_section4_kernel_starts_reach_zero_start_solution(self, sec4_spec, sec4_rdata):
         # The kernel coordinate settles within a few tol_fixed_point of its
         # limit; the tight tolerance keeps that below the 1e-8 share of the
@@ -422,6 +448,13 @@ class TestResiduals:
         report = solve(sec4_spec, sec4_rdata)
         assert report.residuals.solvability_defect <= 1e-6
         assert report.residuals.bc_consistency <= 1e-12
+
+    def test_samples_are_the_answer_on_the_grid(self, sec4_spec, sec4_rdata):
+        # solution.csv is written from these samples.
+        report = solve(sec4_spec, sec4_rdata)
+        xv, tv = report.residuals.samples
+        np.testing.assert_array_equal(xv, evaluate(report.element, sec4_spec.ord).values)
+        np.testing.assert_array_equal(tv, derivative_trace(report.element, sec4_spec.ord).values)
 
     @pytest.mark.parametrize("max_iter", [1, 200])
     def test_report_residuals_belong_to_returned_element(self, sec4_spec, sec4_rdata, max_iter):
