@@ -113,7 +113,7 @@ class ResidualBlock:
     solvability_defect is || (I - R R^+) h(N x) ||, and pde_residual is
     the interior sup-norm of D^alpha x - f(t, x, D^(alpha-1) x) with the
     kernel-power part of x differentiated exactly (it vanishes) and the
-    I^alpha part re-differentiated numerically, all on ``samples`` (x, D^(alpha-1) x).
+    I^alpha part re-differentiated numerically; ``samples`` = (x, D^(alpha-1) x) on the grid.
     pde_residual is a verifier figure: it peaks at node 2 (t = 2/N), the
     boundary layer of that re-differentiation, and does not track the
     solution's grid error (section4, k = 1: 1.2778e-4 at N = 256 and at
