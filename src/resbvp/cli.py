@@ -35,6 +35,7 @@ obeys ``ProblemSpec``'s grid rule: grid_n >= 8, xi * grid_n an integer.
 
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
+Every command rejects a negative seed.
 
 Exit codes: 0 success; 1 non-resonant problem, or failed smallness
 margins in check-hypotheses and verify-example (ahead of
@@ -55,11 +56,15 @@ from typing import Callable
 import numpy as np
 
 from .conditions import (
-    ConditionsReport,
+    GrowthSampleReport,
     GrowthSpec,
+    KernelSignProbe,
     MarginsReport,
-    check_all,
+    TraceDefectProbe,
+    check_growth_bound,
     check_growth_margins,
+    probe_kernel_sign,
+    probe_large_trace_defect,
 )
 from .fracops import Order
 from .linops import load_matrix_csv, operator_norm
@@ -349,8 +354,7 @@ def _solve_lines(report: SolveReport) -> list[str]:
     ]
 
 
-def _conditions_lines(report: ConditionsReport) -> list[str]:
-    g, tp, kp = report.growth_samples, report.trace_probe, report.kernel_probe
+def _conditions_lines(g: GrowthSampleReport, tp: TraceDefectProbe, kp: KernelSignProbe) -> list[str]:
     return [
         "== sampling probes (evidence, not proof) ==",
         f"growth envelope samples  : {g.samples}",
@@ -416,6 +420,8 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError(f"--damping must lie in (0, 1], got {cfg.damping}")
         if cfg.max_iter < 1:
             raise ConfigError(f"--max-iter must be positive, got {cfg.max_iter}")
+        if cfg.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {cfg.seed}")
         opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter)
         spec, growth, label = _build_problem(cfg)
         lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
@@ -446,7 +452,12 @@ def run(cfg: RunConfig) -> int:
                 "",
             ]
         elif cfg.command == "check-hypotheses":
-            lines += _conditions_lines(check_all(spec, rdata, growth, seed=cfg.seed))
+            # 2000 growth samples; 100 trace and 100 kernel probes at level 1.
+            lines += _conditions_lines(
+                check_growth_bound(spec, growth, 2000, cfg.seed),
+                probe_large_trace_defect(spec, rdata, 1.0, 100, cfg.seed + 1),
+                probe_kernel_sign(spec, rdata, 1.0, 100, cfg.seed + 2),
+            )
         else:
             # solve and verify-example: one solve, one CSV, one exit rule.
             if cfg.command == "verify-example":

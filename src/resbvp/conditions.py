@@ -6,7 +6,8 @@ leave the solvable range, and a fixed sign of the kernel feedback.  The
 first reduces to closed-form margins; the other two quantify over
 infinite sets, so this module provides *sampling evidence* only, clearly
 labeled as such, deterministic under a seed.  Probe elements are exact
-sums of powers, evaluated in stacked rhs calls (``rhs_functionals``).
+sums of powers, evaluated in stacked rhs calls (``rhs_functionals``); the
+kernel-sign probe samples its stack through ``resonance.evaluate``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .fracops import Order, gamma, power_rule
 from .linops import operator_norm
-from .resonance import ProblemSpec, ResonanceData
+from .resonance import ProblemSpec, ResonanceData, evaluate
 from .solver import eval_rhs, rhs_functionals
 
 __all__ = [
@@ -26,13 +27,11 @@ __all__ = [
     "MarginsReport",
     "TraceDefectProbe",
     "KernelSignProbe",
-    "ConditionsReport",
     "check_growth_bound",
     "check_growth_margins",
     "apriori_bound",
     "probe_large_trace_defect",
     "probe_kernel_sign",
-    "check_all",
 ]
 
 
@@ -270,7 +269,8 @@ def probe_kernel_sign(
     and record <e, J Q N x> extremes.
 
     Norms are log-uniform in [kernel_level, 100 * kernel_level).  x and its
-    trace Gamma(alpha) e are sampled exactly (x has no source).
+    trace Gamma(alpha) e are sampled by ``evaluate`` as one stack over a
+    zero source.
     """
     if not (np.isfinite(kernel_level) and kernel_level > 0):
         raise ValueError(f"kernel_level must be finite and positive, got {kernel_level}")
@@ -283,30 +283,7 @@ def probe_kernel_sign(
     for e in es:
         z = _random_directions(rng, 1, rdata.dim_ker)[0]
         e[:] = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
-    power, ga = np.linspace(0.0, 1.0, spec.grid_n + 1)[:, None] ** spec.ord.alpha_m1, gamma(spec.ord.alpha)
-    h = rhs_functionals(spec, sample_count, lambda s: (power * es[s, None], ga * es[s, None]))
+    zero = np.zeros((spec.grid_n + 1, spec.dim))
+    h = rhs_functionals(spec, sample_count, lambda s: evaluate(zero, zero, es[s, None], spec.ord))
     inner = [float(e @ (rdata.lift @ rdata.obstruction(hi))) for e, hi in zip(es, h)]
     return KernelSignProbe(kernel_level, min(inner), max(inner))
-
-
-@dataclass(frozen=True)
-class ConditionsReport:
-    """The three sampling probes; the margins are ``check_growth_margins``'s."""
-
-    growth_samples: GrowthSampleReport
-    trace_probe: TraceDefectProbe
-    kernel_probe: KernelSignProbe
-
-
-def check_all(spec: ProblemSpec, rdata: ResonanceData, growth: GrowthSpec, seed: int = 0) -> ConditionsReport:
-    """Run the three sampling probes.
-
-    The growth sampler draws 2000 points of ``growth``'s envelope, the
-    trace and kernel probes 100 each at level 1.  The margin arithmetic
-    on the same envelope is ``check_growth_margins``, run by the caller.
-    """
-    return ConditionsReport(
-        growth_samples=check_growth_bound(spec, growth, 2000, seed),
-        trace_probe=probe_large_trace_defect(spec, rdata, 1.0, 100, seed + 1),
-        kernel_probe=probe_kernel_sign(spec, rdata, 1.0, 100, seed + 2),
-    )

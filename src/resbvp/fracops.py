@@ -14,12 +14,13 @@ graded meshes.
 Its sums at all nodes form one causal convolution per component, which
 ``frac_integral`` computes as a ``numpy.fft`` real convolution in
 O(N log N); the spectrum of the weights is cached with the weights per
-(a, N).  ``frac_integral_at`` reads single nodes from the same cached
-weights as O(N) dot products, which is all the boundary functional
-needs (nodes xi and 1).  The weights themselves are second and first
-differences of powers; they are evaluated as binomial series in 1/m
-whose cancelling leading terms drop out analytically, so they keep full
-relative precision where the direct differences lose about m^2 of it.
+(a, N).  ``frac_integral_at`` reads single nodes of a sample array
+from the same cached weights as O(N) dot products, which is all the
+boundary functional needs (nodes xi and 1).  The weights themselves are
+second and first differences of powers; they are evaluated as binomial
+series in 1/m whose cancelling leading terms drop out analytically, so
+they keep full relative precision where the direct differences lose
+about m^2 of it.
 
 Power functions c * t^beta are never sampled; they travel as exact
 ``PowerFn`` values and are integrated through the Euler beta integral
@@ -265,14 +266,14 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
     return GridFn(scale * out)
 
 
-def frac_integral_at(y: GridFn | np.ndarray, a: float, nodes: Sequence[int]) -> np.ndarray:
+def frac_integral_at(v: np.ndarray, a: float, nodes: Sequence[int]) -> np.ndarray:
     """Rows j of ``frac_integral(y, a)`` for j in nodes, without the full sweep.
 
-    Row j is one dot product of the reversed weights with y_1..y_j, O(N)
-    per node and component; returns an array of shape (len(nodes), dim).
+    v holds y's (N+1, dim) node samples.  Row j is one dot product of the
+    reversed weights with y_1..y_j, O(N) per node and component; returns
+    an array of shape (len(nodes), dim).
     """
     _check_integration_order(a)
-    v = y.values if isinstance(y, GridFn) else y
     n = v.shape[0] - 1
     if any(not 0 <= j <= n for j in nodes):
         raise ValueError(f"nodes must lie in [0, {n}], got {list(nodes)}")

@@ -11,15 +11,16 @@ only add non-resonant directions.
 ``verify_section4`` reproduces every recorded reference constant of this
 configuration on the problem's own grid and reports a residual per
 entry; it only checks, and leaves the margins and the solve to the
-caller.  Two of its entries show that the scaled operator
-S = xi^(alpha-1) A satisfies neither condition the paper removes,
-S^2 = S or S^2 = I.  Two recorded targets
-are inconsistent with the defining integrals and are retained only as
-recorded: the obstruction-projection prefactor (the recorded value does
-not make the projection idempotent) and the first component of the
-boundary functional of the kernel feedback (the recorded value implies
-int_0^1 (1-s)^(1/2) ds = 3/2 instead of 2/3).  The report carries both
-the computed truth and the recorded target, marked failed.
+caller.  Its kernel-feedback entries make one rhs call on the exact
+element e t^(alpha-1), sampled by ``resonance.evaluate``.  Two of its
+entries show that the scaled operator S = xi^(alpha-1) A satisfies
+neither condition the paper removes, S^2 = S or S^2 = I.  Two recorded
+targets are inconsistent with the defining integrals and are retained
+only as recorded: the obstruction-projection prefactor (the recorded
+value does not make the projection idempotent) and the first component
+of the boundary functional of the kernel feedback (the recorded value
+implies int_0^1 (1-s)^(1/2) ds = 3/2 instead of 2/3).  The report
+carries both the computed truth and the recorded target, marked failed.
 """
 
 from __future__ import annotations
@@ -192,8 +193,7 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     sigma = 2.0
     e = np.zeros(spec.dim)
     e[2] = sigma
-    x = DomainElement(e, GridFn.zeros(grid_n, spec.dim))
-    w = apply_rhs(spec, x)
+    w = apply_rhs(spec, DomainElement(e, GridFn.zeros(grid_n, spec.dim))).values
     iv_xi, iv_one = frac_integral_at(w, alpha, (spec.xi_node, grid_n))
     ga = gamma(alpha)
     # Component-3 beta moments, solved for the recorded d-constants.

@@ -21,6 +21,10 @@ The problem is resonant when R is singular.  This module builds the
 pseudoinverse-based splitting used by the solver: projections that
 isolate the kernel part of c and the unsolvable part of y, and the
 partial inverse that undoes the derivative on solvable data.
+``evaluate`` is the one sampler of elements: from I^alpha y and int_0^t y
+it forms x and its trace Gamma(a) c + int_0^t y on the grid, for one c
+or a stack of them.  ``boundary_functional`` reads the (N+1, n) sample
+array of y.
 
 The scalar in front of the obstruction projection is pinned by
 idempotency.  For y = c t^(a-1) the boundary functional evaluates
@@ -49,7 +53,6 @@ from .fracops import (
     Order,
     PowerFn,
     _freeze,
-    cumulative_integral,
     frac_derivative,
     frac_integral,
     frac_integral_at,
@@ -71,7 +74,6 @@ __all__ = [
     "project_kernel",
     "partial_inverse",
     "evaluate",
-    "derivative_trace",
     "StructureReport",
     "verify_structure",
 ]
@@ -256,13 +258,13 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
     )
 
 
-def boundary_functional(y: GridFn | np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def boundary_functional(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
 
-    xi must lie on a node of y's grid; the two kernel integrals are the
-    quadrature's values at nodes xi and 1 alone, without a full sweep.
+    v holds y's (N+1, n) node samples; xi must be a node of that grid.
+    The two kernel integrals are the quadrature's values at nodes xi and
+    1 alone, without a full sweep.
     """
-    v = y.values if isinstance(y, GridFn) else y
     if v.shape[1] != spec.dim:
         raise ValueError(f"grid dim {v.shape[1]} != operator dim {spec.dim}")
     n = v.shape[0] - 1
@@ -304,7 +306,7 @@ def split_obstruction(
     h(w) - h(q) with h(q) on the exact beta-integral route, so Q of the
     rest vanishes to rounding; rest = w - q on w's grid.
     """
-    hw = boundary_functional(w, spec)
+    hw = boundary_functional(w.values, spec)
     q = PowerFn(rdata.obstruction(hw), spec.ord.alpha_m1)
     return q, hw - boundary_functional_power(q, spec), GridFn(w.values - q.sample(w.nodes))
 
@@ -328,20 +330,19 @@ def partial_inverse(y: GridFn, spec: ProblemSpec, rdata: ResonanceData) -> Domai
     (I - R^+ R) R^+ = 0, and the derivative trace is available exactly
     as Gamma(alpha) R^+ h(y) + int_0^t y.
     """
-    return DomainElement(rdata.pinv @ boundary_functional(y, spec), y)
+    return DomainElement(rdata.pinv @ boundary_functional(y.values, spec), y)
 
 
-def evaluate(x: DomainElement, ord: Order) -> GridFn:
-    """Grid samples of x(t) = coef t^(alpha-1) + (I^alpha source)(t)."""
-    iv = frac_integral(x.source, ord.alpha).values
-    power = PowerFn(x.coef, ord.alpha_m1).sample(x.source.nodes)
-    return GridFn(power + iv)
+def evaluate(iv: np.ndarray, iy: np.ndarray, coef: np.ndarray, ord: Order) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of x = coef t^(alpha-1) + I^alpha y and of its exact trace
+    D^(alpha-1) x = Gamma(alpha) coef + int_0^t y, returned together.
 
-
-def derivative_trace(x: DomainElement, ord: Order) -> GridFn:
-    """Exact-trace samples of D^(alpha-1) x = Gamma(alpha) coef + int_0^t source."""
-    iv = cumulative_integral(x.source).values
-    return GridFn(gamma(ord.alpha) * x.coef[None, :] + iv)
+    iv = I^alpha y and iy = int_0^t y are (N+1, n) node samples.  coef is
+    one (n,) vector, giving (N+1, n) samples, or a stack (m, 1, n) of
+    coefficients over the same source, giving (m, N+1, n).
+    """
+    t = np.linspace(0.0, 1.0, iv.shape[0])
+    return t[:, None] ** ord.alpha_m1 * coef + iv, gamma(ord.alpha) * coef + iy
 
 
 @dataclass(frozen=True)

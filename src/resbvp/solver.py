@@ -4,7 +4,9 @@ The unknown is a ``DomainElement`` (coef, source), never grid samples of
 x itself: the left boundary condition and the derivative trace are exact
 in that representation, and applying the fractional derivative to the
 assembled x returns the source by construction.  Only the right-hand
-side and the boundary functional are discretized.
+side and the boundary functional are discretized.  ``apply_rhs``,
+``oriented_lift`` and ``residuals`` sample x and its trace through the
+one sampler ``resonance.evaluate``.
 
 The iteration is the splitting map
 
@@ -33,13 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .fracops import GridFn, PowerFn, cumulative_integral, frac_derivative, frac_integral, gamma
+from .fracops import GridFn, cumulative_integral, frac_derivative, frac_integral
 from .resonance import (
     DomainElement,
     ProblemSpec,
     ResonanceData,
     boundary_functional,
-    derivative_trace,
     evaluate,
     split_obstruction,
 )
@@ -164,12 +165,14 @@ def eval_rhs(spec: ProblemSpec, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> 
 def apply_rhs(spec: ProblemSpec, x: DomainElement) -> GridFn:
     """Evaluate f(t_j, x(t_j), D^(alpha-1) x(t_j)) at every node in one call.
 
-    x and its trace come from the exact representation; only f itself is
-    sampled.  A bad return raises with the offending node index.
+    x and its trace come from the exact representation through
+    ``evaluate``; only f itself is sampled.  The source's two integrals
+    are freed before f is called.  A bad return raises with the
+    offending node index.
     """
-    xv = evaluate(x, spec.ord).values
-    tv = derivative_trace(x, spec.ord).values
-    return GridFn(eval_rhs(spec, x.source.nodes, xv, tv))
+    src, ord = x.source, spec.ord
+    xv, tv = evaluate(frac_integral(src, ord.alpha).values, cumulative_integral(src).values, x.coef, ord)
+    return GridFn(eval_rhs(spec, src.nodes, xv, tv))
 
 
 def rhs_functionals(spec: ProblemSpec, count: int, sample: Callable[[slice], tuple]) -> np.ndarray:
@@ -223,7 +226,8 @@ def oriented_lift(
     the rate is (1 - relax) I.  G is measured by forward secants of step
     1e-6 max(1, ||coef||) along each kernel direction.  They move coef
     alone, so one I^alpha sweep of x's source (none from a zero source)
-    serves all dim_ker, and one ``rhs_functionals`` call evaluates them.
+    serves all dim_ker: ``evaluate`` samples them as one stack of
+    coefficients, and one ``rhs_functionals`` call evaluates them.
     When the smallest singular value of G does not clear the secant's
     rounding level (the rhs hardly sees the kernel coordinates), S = I and
     J itself is returned.
@@ -232,11 +236,10 @@ def oriented_lift(
     step = _GAIN_STEP * max(1.0, float(np.linalg.norm(x.coef)))
     noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))) / step
     iv, iy = frac_integral(x.source, spec.ord.alpha).values, cumulative_integral(x.source).values
-    power, ga = x.source.nodes[:, None] ** spec.ord.alpha_m1, gamma(spec.ord.alpha)
     coefs = (x.coef + step * ker.T)[:, None]
-    h = rhs_functionals(spec, rdata.dim_ker, lambda s: (power * coefs[s] + iv, ga * coefs[s] + iy))
+    h = rhs_functionals(spec, rdata.dim_ker, lambda s: evaluate(iv, iy, coefs[s], spec.ord))
     # h is linear, so the secants difference h values.
-    gain = ker.T @ rdata.lift @ rdata.obstruction((h - boundary_functional(w, spec)).T) / step
+    gain = ker.T @ rdata.lift @ rdata.obstruction((h - boundary_functional(w.values, spec)).T) / step
     if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
@@ -391,15 +394,13 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
     n = spec.grid_n
     # One I^alpha sweep of the source serves x, h(source) and D^alpha x.
     ia = frac_integral(x.source, spec.ord.alpha)
-    nodes = x.source.nodes
-    xv = PowerFn(x.coef, spec.ord.alpha_m1).sample(nodes) + ia.values
     # D^alpha x = D^alpha(coef t^(alpha-1)) + D^alpha I^alpha source; the
     # first term vanishes exactly, the second is re-differentiated.
     dsource = frac_derivative(ia, spec.ord)
     hy = spec.a_op @ ia.values[spec.xi_node] - ia.values[n]
-    del ia  # not held beside the trace and w, which are formed next
-    tv = derivative_trace(x, spec.ord).values
-    w = eval_rhs(spec, nodes, xv, tv)
+    xv, tv = evaluate(ia.values, cumulative_integral(x.source).values, x.coef, spec.ord)
+    del ia  # not held beside w, which is formed next
+    w = eval_rhs(spec, x.source.nodes, xv, tv)
     pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w[2 : n - 1], axis=1)))
     algebraic = float(np.linalg.norm(rdata.matrix @ x.coef - hy))
     direct = float(np.linalg.norm(xv[n] - spec.a_op @ xv[spec.xi_node]))

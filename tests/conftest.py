@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from resbvp import Order, ProblemSpec, build_section4
+from resbvp import Order, ProblemSpec, build_section4, cumulative_integral, evaluate, frac_integral
 
 
 def make_resonant_spec(
@@ -41,6 +41,12 @@ def sec4_rdata(sec4_spec):
     from resbvp import build_resonance
 
     return build_resonance(sec4_spec)
+
+
+def element_samples(x, ord):
+    """Grid samples (x, D^(alpha-1) x) of a domain element, through ``evaluate``."""
+    iv, iy = frac_integral(x.source, ord.alpha).values, cumulative_integral(x.source).values
+    return evaluate(iv, iy, x.coef, ord)
 
 
 SQRT_PI = math.sqrt(math.pi)

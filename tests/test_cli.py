@@ -347,8 +347,21 @@ class TestExitCodes:
             ("check-hypotheses", ["--damping", "0"], "error: --damping must lie in (0, 1], got 0.0"),
             ("solve", ["--max-iter", "0"], "error: --max-iter must be positive, got 0"),
             ("verify-example", ["--max-iter", "-3"], "error: --max-iter must be positive, got -3"),
+            ("analyze", ["--seed", "-1"], "error: --seed must be nonnegative, got -1"),
+            ("check-hypotheses", ["--seed", "-1"], "error: --seed must be nonnegative, got -1"),
+            ("solve", ["--seed", "-1"], "error: --seed must be nonnegative, got -1"),
+            ("verify-example", ["--seed", "-1"], "error: --seed must be nonnegative, got -1"),
         ],
-        ids=["analyze-damping", "hypotheses-damping", "solve-max-iter", "verify-max-iter"],
+        ids=[
+            "analyze-damping",
+            "hypotheses-damping",
+            "solve-max-iter",
+            "verify-max-iter",
+            "analyze-seed",
+            "hypotheses-seed",
+            "solve-seed",
+            "verify-seed",
+        ],
     )
     def test_bad_solve_option_exits_three_on_every_command(self, tmp_path, command, flags, error):
         out = tmp_path / "r"

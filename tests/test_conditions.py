@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import element_samples
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from resbvp import (
     check_growth_margins,
     cumulative_integral,
     eval_rhs,
-    evaluate,
     gamma,
     probe_kernel_sign,
     probe_large_trace_defect,
@@ -314,7 +314,7 @@ class TestKernelSignProbe:
             e = np.array([0.0, 0.0, s])
             w = apply_rhs(spec, DomainElement(e, GridFn.zeros(256, 3)))
             q = sec4_rdata.proj_scale * (
-                sec4_rdata.offrange_proj @ boundary_functional(w, spec)
+                sec4_rdata.offrange_proj @ boundary_functional(w.values, spec)
             )
             inners.append(float(e @ (sec4_rdata.lift @ q)))
         assert inners[1] == pytest.approx(4.0 * inners[0], rel=1e-9)
@@ -387,7 +387,7 @@ def _quadrature_trace_probe(spec, rdata, level, count, seed):
         margin = float(np.max(np.linalg.norm(integral, axis=1)))
         scale = (level + margin + 1.0) / ga * (1.0 + rng.uniform())
         c = scale * _random_directions(rng, 1, spec.dim)[0]
-        w = eval_rhs(spec, t, evaluate(DomainElement(c, source), spec.ord).values, ga * c + integral)
+        w = eval_rhs(spec, t, element_samples(DomainElement(c, source), spec.ord)[0], ga * c + integral)
         defects.append(float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec))))
     return min(defects), max(defects)
 
@@ -427,7 +427,7 @@ class TestBatchedProbes:
             z = _random_directions(rng, 1, rdata.dim_ker)[0]
             e = rdata.kernel @ z * (1.0 * 10.0 ** rng.uniform(0.0, 2.0))
             w = apply_rhs(spec, DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim)))
-            inners.append(float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w, spec)))))
+            inners.append(float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w.values, spec)))))
         assert (probe.min_inner, probe.max_inner) == (min(inners), max(inners))
 
     def test_trace_probe_is_the_quadrature_path_without_its_error(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import resbvp
+import resbvp.cli
 from resbvp.cli import RunConfig
 
 # resbvp.__main__ runs the command line on import.
@@ -61,12 +62,17 @@ def test_unused_import_is_caught():
     assert _unused_imports(source) == ["boundary_functional_power (line 1)"]
 
 
-def _traced_names() -> list[str]:
-    """``<layer>.<function>`` of every entry in the benchmark's TRACED table."""
+def _tracing():
+    """The benchmark's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [f"{layer}.{name}" for layer, names in tracing.TRACED.items() for name in names]
+    return tracing
+
+
+def _traced_names() -> list[str]:
+    """``<layer>.<function>`` of every entry in the benchmark's TRACED table."""
+    return [f"{layer}.{name}" for layer, names in _tracing().TRACED.items() for name in names]
 
 
 def test_every_workload_builds_its_run_config(tmp_path, monkeypatch):
@@ -93,3 +99,24 @@ def test_every_traced_function_exists():
         if span not in UNTRACEABLE and not callable(getattr(importlib.import_module(f"resbvp.{layer}"), name, None)):
             missing.append(span)
     assert not missing
+
+
+def test_every_command_runs_traced(tmp_path):
+    # The benchmark's traced runs wrap every traced function, so a call the
+    # wrapper cannot pass through would crash them.  run is called through
+    # its module: the tracer rebinds names inside resbvp only.
+    commands = ("analyze", "solve", "check-hypotheses", "verify-example")
+    tracer = _tracing().Tracer()
+    tracer.prepare()
+    tracer.install()
+    try:
+        codes = []
+        for flow, command in enumerate(commands):
+            tracer.flow = flow
+            cfg = RunConfig(command=command, builtin="section4", grid_n=64, out_dir=str(tmp_path / command))
+            codes.append(resbvp.cli.run(cfg))
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands)
+    spans = [tracer.flow_totals(flow)["cli.run"]["calls"] for flow in range(len(commands))]
+    assert spans == [1] * len(commands)

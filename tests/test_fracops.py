@@ -157,9 +157,9 @@ class TestFracIntegral:
         with pytest.raises(ValueError):
             frac_integral(y, 2.5)
         with pytest.raises(ValueError):
-            frac_integral_at(y, 2.5, [8])
+            frac_integral_at(y.values, 2.5, [8])
         with pytest.raises(ValueError):
-            frac_integral_at(y, 1.5, [9])
+            frac_integral_at(y.values, 1.5, [9])
 
 
 # Weight indices m in 1..32, 2^k and 2^k - 1 up to k = 20 (N = 2^20).
@@ -220,7 +220,7 @@ class TestFFTConvolution:
         nodes = sorted({0, 1, n // 4, n // 2, n - 1, n})
         for a in (0.05, 0.5, 1.5, 2.0):
             full = frac_integral(y, a).values
-            at = frac_integral_at(y, a, nodes)
+            at = frac_integral_at(y.values, a, nodes)
             assert at.shape == (len(nodes), 3)
             assert np.abs(at - full[nodes]).max() <= 1e-14 * np.abs(full).max()
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import resbvp.resonance
+import resbvp.solver
 from resbvp import (
     DomainElement,
     GridFn,
@@ -17,7 +18,7 @@ from resbvp import (
     boundary_functional_power,
     build_resonance,
     build_section4,
-    derivative_trace,
+    cumulative_integral,
     evaluate,
     fixed_point_map,
     frac_integral,
@@ -28,7 +29,7 @@ from resbvp import (
     split_obstruction,
     verify_structure,
 )
-from conftest import make_resonant_spec
+from conftest import element_samples, make_resonant_spec
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -93,7 +94,7 @@ class TestBuildResonance:
 
 class TestBoundaryFunctional:
     def test_zero(self, sec4_spec):
-        assert not boundary_functional(GridFn.zeros(256, 3), sec4_spec).any()
+        assert not boundary_functional(GridFn.zeros(256, 3).values, sec4_spec).any()
 
     def test_kernel_power_closed_form(self, sec4_spec):
         # h(c t^(a-1)) = (gamma(a)/gamma(2a)) (xi^(2a-1) A - I) c exactly;
@@ -103,7 +104,7 @@ class TestBoundaryFunctional:
         p = PowerFn(c, 0.5)
         exact = (gamma(1.5) / gamma(3.0)) * (0.25**2 * (sec4_spec.a_op @ c) - c)
         np.testing.assert_allclose(boundary_functional_power(p, sec4_spec), exact, atol=1e-16)
-        grid_val = boundary_functional(GridFn(p.sample(np.linspace(0, 1, 257))), sec4_spec)
+        grid_val = boundary_functional(GridFn(p.sample(np.linspace(0, 1, 257))).values, sec4_spec)
         assert np.abs(grid_val - exact).max() <= 1e-5
 
     def test_kernel_power_quadrature_converges(self):
@@ -113,7 +114,7 @@ class TestBoundaryFunctional:
         for n in (256, 1024):
             spec = build_section4(1, n)
             exact = boundary_functional_power(p, spec)
-            grid_val = boundary_functional(GridFn(p.sample(np.linspace(0, 1, n + 1))), spec)
+            grid_val = boundary_functional(GridFn(p.sample(np.linspace(0, 1, n + 1))).values, spec)
             errs[n] = np.abs(grid_val - exact).max()
         assert errs[1024] < errs[256] / 4.0
 
@@ -128,20 +129,20 @@ class TestBoundaryFunctional:
         e = np.array([0.0, 0.0, 2.0])
         x = DomainElement(e, GridFn.zeros(n, 3))
         w = apply_rhs(spec, x)
-        h = boundary_functional(w, spec)
+        h = boundary_functional(w.values, spec)
         assert h[0] == pytest.approx(13.0 / (120.0 * SQRT_PI), abs=1e-12)
 
     def test_linearity(self, sec4_spec):
         rng = np.random.default_rng(11)
         y = GridFn(rng.standard_normal((257, 3)))
         z = GridFn(rng.standard_normal((257, 3)))
-        lhs = boundary_functional(GridFn(2.0 * y.values - 0.5 * z.values), sec4_spec)
-        rhs = 2.0 * boundary_functional(y, sec4_spec) - 0.5 * boundary_functional(z, sec4_spec)
+        lhs = boundary_functional(GridFn(2.0 * y.values - 0.5 * z.values).values, sec4_spec)
+        rhs = 2.0 * boundary_functional(y.values, sec4_spec) - 0.5 * boundary_functional(z.values, sec4_spec)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_off_grid_xi_rejected(self, sec4_spec):
         with pytest.raises(ValueError, match="node"):
-            boundary_functional(GridFn.zeros(50, 3), sec4_spec)
+            boundary_functional(GridFn.zeros(50, 3).values, sec4_spec)
 
     @pytest.mark.parametrize("n", [8, 256, 1000])
     def test_equals_full_sweep_at_xi_and_one(self, n):
@@ -149,7 +150,7 @@ class TestBoundaryFunctional:
         y = GridFn(np.random.default_rng(n).standard_normal((n + 1, 3)))
         full = frac_integral(y, spec.ord.alpha).values
         from_sweep = spec.a_op @ full[spec.xi_node] - full[n]
-        h = boundary_functional(y, spec)
+        h = boundary_functional(y.values, spec)
         assert np.abs(h - from_sweep).max() <= 1e-14 * np.abs(full).max()
 
 
@@ -170,7 +171,7 @@ class TestObstructionProjection:
         rng = np.random.default_rng(3)
         y = GridFn(rng.standard_normal((257, 3)))
         q = split_obstruction(y, sec4_spec, sec4_rdata)[0]
-        h_rest = boundary_functional(y, sec4_spec) - boundary_functional_power(q, sec4_spec)
+        h_rest = boundary_functional(y.values, sec4_spec) - boundary_functional_power(q, sec4_spec)
         rest_coef = sec4_rdata.proj_scale * (sec4_rdata.offrange_proj @ h_rest)
         assert np.linalg.norm(rest_coef) <= 1e-13
 
@@ -188,7 +189,7 @@ class TestSplitObstruction:
         q, h_rest, rest = split_obstruction(w, sec4_spec, sec4_rdata)
         assert q.exponent == sec4_spec.ord.alpha_m1
         np.testing.assert_array_equal(
-            h_rest, boundary_functional(w, sec4_spec) - boundary_functional_power(q, sec4_spec)
+            h_rest, boundary_functional(w.values, sec4_spec) - boundary_functional_power(q, sec4_spec)
         )
         np.testing.assert_array_equal(rest.values, w.values - q.sample(w.nodes))
         assert np.linalg.norm(sec4_rdata.obstruction(h_rest)) <= 1e-13
@@ -200,7 +201,7 @@ class TestSplitObstruction:
         original = resbvp.resonance.boundary_functional
 
         def counting(y, spec):
-            calls.append(y.n_intervals)
+            calls.append(y.shape[0] - 1)
             return original(y, spec)
 
         monkeypatch.setattr(resbvp.resonance, "boundary_functional", counting)
@@ -237,7 +238,7 @@ class TestSplitObstruction:
         assert full_sweeps == [sec4_spec.ord.alpha]
 
     def test_boundary_functional_makes_no_full_sweep(self, full_sweeps, sec4_spec):
-        boundary_functional(GridFn(np.ones((sec4_spec.grid_n + 1, 3))), sec4_spec)
+        boundary_functional(GridFn(np.ones((sec4_spec.grid_n + 1, 3))).values, sec4_spec)
         assert full_sweeps == []
 
 
@@ -291,8 +292,7 @@ class TestPartialInverse:
             coefs = rng.standard_normal((3, 3))
             y = GridFn(coefs[0] + np.outer(t, coefs[1]) + np.outer(np.sin(3 * t), coefs[2]))
             elem = partial_inverse(y, sec4_spec, sec4_rdata)
-            xv = evaluate(elem, sec4_spec.ord).values
-            dv = derivative_trace(elem, sec4_spec.ord).values
+            xv, dv = element_samples(elem, sec4_spec.ord)
             norm_x = max(
                 np.linalg.norm(xv, axis=1).max(), np.linalg.norm(dv, axis=1).max()
             )
@@ -315,15 +315,53 @@ class TestDomainElement:
     def test_evaluate_kernel_element(self, sec4_spec):
         e = np.array([0.0, 0.0, 1.5])
         x = DomainElement(e, GridFn.zeros(256, 3))
-        xv = evaluate(x, sec4_spec.ord)
-        t = xv.nodes
-        np.testing.assert_allclose(xv.values[:, 2], 1.5 * np.sqrt(t), atol=1e-15)
-        dv = derivative_trace(x, sec4_spec.ord)
-        np.testing.assert_allclose(dv.values[:, 2], 1.5 * gamma(1.5), atol=1e-15)
+        xv, dv = element_samples(x, sec4_spec.ord)
+        t = x.source.nodes
+        np.testing.assert_allclose(xv[:, 2], 1.5 * np.sqrt(t), atol=1e-15)
+        np.testing.assert_allclose(dv[:, 2], 1.5 * gamma(1.5), atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             DomainElement(np.zeros(2), GridFn.zeros(8, 3))
+
+
+class TestEvaluate:
+    """``evaluate`` samples x and its trace for one coefficient or a stack of them."""
+
+    def test_stack_equals_per_coefficient_calls(self):
+        spec = build_section4(2, 256)
+        rdata = build_resonance(spec)
+        rng = np.random.default_rng(21)
+        source = GridFn(rng.standard_normal((spec.grid_n + 1, spec.dim)))
+        iv, iy = frac_integral(source, spec.ord.alpha).values, cumulative_integral(source).values
+        # Two kernel shifts of one coefficient, as the kernel-gain secants take them.
+        coefs = rng.standard_normal(spec.dim) + 1e-3 * rdata.kernel.T
+        xs, ts = evaluate(iv, iy, coefs[:, None], spec.ord)
+        assert xs.shape == ts.shape == (2, spec.grid_n + 1, spec.dim)
+        for c, xv, tv in zip(coefs, xs, ts):
+            x1, t1 = evaluate(iv, iy, c, spec.ord)
+            np.testing.assert_array_equal(xv, x1)
+            np.testing.assert_array_equal(tv, t1)
+
+    def test_zero_source_stack_is_what_apply_rhs_samples(self, monkeypatch):
+        spec = build_section4(2, 256)
+        es = build_resonance(spec).kernel.T * np.array([[2.0], [-0.5]])
+        zero = np.zeros((spec.grid_n + 1, spec.dim))
+        xs, ts = evaluate(zero, zero, es[:, None], spec.ord)
+        seen = []
+        original = resbvp.solver.eval_rhs
+
+        def recording(sp, t, u, v):
+            seen.append((u, v))
+            return original(sp, t, u, v)
+
+        monkeypatch.setattr(resbvp.solver, "eval_rhs", recording)
+        for e, xv, tv in zip(es, xs, ts):
+            apply_rhs(spec, DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim)))
+            u, v = seen.pop()
+            np.testing.assert_array_equal(u, xv)
+            np.testing.assert_array_equal(v, tv)
+        assert not seen
 
 
 class TestVerifyStructure:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_resonant_spec
+from conftest import element_samples, make_resonant_spec
 
 from resbvp import (
     DomainElement,
@@ -20,8 +20,6 @@ from resbvp import (
     boundary_functional,
     build_resonance,
     build_section4,
-    derivative_trace,
-    evaluate,
     fixed_point_map,
     frac_integral,
     oriented_lift,
@@ -138,7 +136,7 @@ class TestFixedPointMap:
         rng = np.random.default_rng(8)
         x = DomainElement(rng.standard_normal(3), GridFn(rng.standard_normal((257, 3))))
         x1 = fixed_point_map(sec4_spec, sec4_rdata, x.coef, apply_rhs(sec4_spec, x))
-        gap = sec4_rdata.matrix @ x1.coef - boundary_functional(x1.source, sec4_spec)
+        gap = sec4_rdata.matrix @ x1.coef - boundary_functional(x1.source.values, sec4_spec)
         assert np.linalg.norm(sec4_rdata.matrix @ sec4_rdata.pinv @ gap) <= 1e-8
 
     def test_damped_iteration_contracts(self, sec4_spec, sec4_rdata):
@@ -190,13 +188,13 @@ class TestSolve:
 
         spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), rhs, n)
         g = GridFn(gvals)
-        assert np.linalg.norm(sec4_rdata.offrange_proj @ boundary_functional(g, spec)) <= 1e-15
+        assert np.linalg.norm(sec4_rdata.offrange_proj @ boundary_functional(g.values, spec)) <= 1e-15
         report = solve(spec, sec4_rdata, SolveOptions(relax=1.0, max_iter=10))
         assert report.converged
         assert report.iterations <= 3
         closed = partial_inverse(g, spec, sec4_rdata)
-        xv = evaluate(report.element, spec.ord).values
-        cv = evaluate(closed, spec.ord).values
+        xv = element_samples(report.element, spec.ord)[0]
+        cv = element_samples(closed, spec.ord)[0]
         assert np.abs(xv - cv).max() <= 1e-8
 
     def test_section4_end_to_end(self, sec4_spec, sec4_rdata):
@@ -375,9 +373,9 @@ class TestOrientedLift:
         w0 = apply_rhs(spec, x0)
         # G by one apply_rhs per kernel direction.
         step = 1e-6 * max(1.0, float(np.linalg.norm(x0.coef)))
-        h0 = boundary_functional(w0, spec)
+        h0 = boundary_functional(w0.values, spec)
         shifts = [
-            boundary_functional(apply_rhs(spec, DomainElement(x0.coef + e, x0.source)), spec) - h0
+            boundary_functional(apply_rhs(spec, DomainElement(x0.coef + e, x0.source)).values, spec) - h0
             for e in step * rdata.kernel.T
         ]
         expected = rdata.kernel.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
@@ -399,11 +397,11 @@ class TestOrientedLift:
 
         def table(x):
             return np.column_stack(
-                [evaluate(x, sec4_spec.ord).values, derivative_trace(x, sec4_spec.ord).values]
+                element_samples(x, sec4_spec.ord)
             )
 
         def trace_norm(x):
-            return np.linalg.norm(derivative_trace(x, sec4_spec.ord).values, axis=1)
+            return np.linalg.norm(element_samples(x, sec4_spec.ord)[1], axis=1)
 
         ref = solve(sec4_spec, sec4_rdata, opts)
         assert ref.converged
@@ -453,8 +451,8 @@ class TestResiduals:
         # solution.csv is written from these samples.
         report = solve(sec4_spec, sec4_rdata)
         xv, tv = report.residuals.samples
-        np.testing.assert_array_equal(xv, evaluate(report.element, sec4_spec.ord).values)
-        np.testing.assert_array_equal(tv, derivative_trace(report.element, sec4_spec.ord).values)
+        np.testing.assert_array_equal(xv, element_samples(report.element, sec4_spec.ord)[0])
+        np.testing.assert_array_equal(tv, element_samples(report.element, sec4_spec.ord)[1])
 
     @pytest.mark.parametrize("max_iter", [1, 200])
     def test_report_residuals_belong_to_returned_element(self, sec4_spec, sec4_rdata, max_iter):
