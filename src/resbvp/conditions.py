@@ -6,8 +6,8 @@ leave the solvable range, and a fixed sign of the kernel feedback.  The
 first reduces to closed-form margins; the other two quantify over
 infinite sets, so this module provides *sampling evidence* only, clearly
 labeled as such, deterministic under a seed.  Probe elements are exact
-sums of powers, evaluated in stacked rhs calls (``rhs_functionals``); the
-kernel-sign probe samples its stack through ``resonance.evaluate``.
+sums of powers: both probes sample them through ``resonance.evaluate`` and
+take h(N x) of each stacked chunk in one call (``rhs_functionals``).
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def probe_large_trace_defect(
     || (I - R R^+) h(N x) || and report the extremes.
 
     Each sample draws a quadratic source y (O(1) coefficients), a uniform
-    number and a direction.  x = coef t^(alpha-1) + I^alpha y and its trace
-    Gamma(alpha) coef + int_0^t y are sums of powers, sampled exactly; a
+    number and a direction.  I^alpha y and int_0^t y are sums of powers,
+    sampled exactly, and ``evaluate`` forms x and its trace from them; a
     || Gamma(alpha) coef || above trace_level + max_t || int_0^t y || keeps
     the trace above the level.  h(N x) comes from ``rhs_functionals``.
     """
@@ -223,15 +223,15 @@ def probe_large_trace_defect(
     for i in range(sample_count):
         coefs[i], ups[i], dirs[i] = rng.standard_normal((3, n)), rng.uniform(), _random_directions(rng, 1, n)[0]
     t = np.linspace(0.0, 1.0, spec.grid_n + 1)[:, None]
-    # t^(alpha-1+k), k = 0..3, in x and t^k / k, k = 1..3, in int_0^t y.
-    x_powers, integral_powers = t ** (alpha - 1.0 + np.arange(4)), t ** np.arange(1, 4) / np.arange(1, 4)
-    rules = np.array([power_rule(k, alpha) for k in range(3)])[:, None]
+    # I^alpha t^k = power_rule(k, alpha) t^(k+alpha) and int_0^t s^(k-1) ds = t^k / k.
+    rules = np.array([power_rule(k, alpha) for k in range(3)])
+    source_powers, integral_powers = rules * t ** (alpha + np.arange(3)), t ** np.arange(1, 4) / np.arange(1, 4)
 
     def sample(s: slice) -> tuple[np.ndarray, np.ndarray]:
         integral = integral_powers @ coefs[s]
         margin = np.sqrt(np.vecdot(integral, integral)).max(axis=1)
         c = ((trace_level + margin + 1.0) / ga * (1.0 + ups[s]))[:, None] * dirs[s]
-        return x_powers @ np.concatenate((c[:, None], rules * coefs[s]), axis=1), ga * c[:, None] + integral
+        return evaluate(source_powers @ coefs[s], integral, c[:, None], spec.ord)
 
     defects = np.linalg.norm(rhs_functionals(spec, sample_count, sample) @ rdata.offrange_proj.T, axis=1)
     return TraceDefectProbe(trace_level, float(defects.min()), float(defects.max()))
@@ -285,5 +285,5 @@ def probe_kernel_sign(
         e[:] = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
     zero = np.zeros((spec.grid_n + 1, spec.dim))
     h = rhs_functionals(spec, sample_count, lambda s: evaluate(zero, zero, es[s, None], spec.ord))
-    inner = [float(e @ (rdata.lift @ rdata.obstruction(hi))) for e, hi in zip(es, h)]
-    return KernelSignProbe(kernel_level, min(inner), max(inner))
+    inner = np.vecdot(es, rdata.obstruction(h) @ rdata.lift.T)
+    return KernelSignProbe(kernel_level, float(inner.min()), float(inner.max()))

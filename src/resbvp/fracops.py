@@ -14,8 +14,8 @@ graded meshes.
 Its sums at all nodes form one causal convolution per component, which
 ``frac_integral`` computes as a ``numpy.fft`` real convolution in
 O(N log N); the spectrum of the weights is cached with the weights per
-(a, N).  ``frac_integral_at`` reads single nodes of a sample array
-from the same cached weights as O(N) dot products, which is all the
+(a, N).  ``frac_integral_at`` reads single nodes of a stack of sample
+arrays from the same cached weights as O(N) products, which is all the
 boundary functional needs (nodes xi and 1).  The weights themselves are
 second and first differences of powers; they are evaluated as binomial
 series in 1/m whose cancelling leading terms drop out analytically, so
@@ -269,18 +269,18 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
 def frac_integral_at(v: np.ndarray, a: float, nodes: Sequence[int]) -> np.ndarray:
     """Rows j of ``frac_integral(y, a)`` for j in nodes, without the full sweep.
 
-    v holds y's (N+1, dim) node samples.  Row j is one dot product of the
-    reversed weights with y_1..y_j, O(N) per node and component; returns
-    an array of shape (len(nodes), dim).
+    v holds y's (..., N+1, dim) node samples, over any leading stack axes.
+    Row j is one product of the reversed weights with y_1..y_j, O(N) per
+    node and component; returns an array of shape (..., len(nodes), dim).
     """
     _check_integration_order(a)
-    n = v.shape[0] - 1
+    n = v.shape[-2] - 1
     if any(not 0 <= j <= n for j in nodes):
         raise ValueError(f"nodes must lie in [0, {n}], got {list(nodes)}")
     b, w0, _ = _product_trapezoid_weights(a, n)
-    rows = [b[:j][::-1] @ v[1 : j + 1] + w0[j] * v[0] for j in nodes]
+    rows = [b[:j][::-1] @ v[..., 1 : j + 1, :] + w0[j] * v[..., 0, :] for j in nodes]
     scale = (1.0 / n) ** a / gamma(a + 2.0)
-    return scale * np.array(rows)
+    return scale * np.stack(rows, axis=-2)
 
 
 def frac_integral_power(p: PowerFn, a: float) -> PowerFn:

@@ -22,9 +22,9 @@ pseudoinverse-based splitting used by the solver: projections that
 isolate the kernel part of c and the unsolvable part of y, and the
 partial inverse that undoes the derivative on solvable data.
 ``evaluate`` is the one sampler of elements: from I^alpha y and int_0^t y
-it forms x and its trace Gamma(a) c + int_0^t y on the grid, for one c
-or a stack of them.  ``boundary_functional`` reads the (N+1, n) sample
-array of y.
+it forms x and its trace Gamma(a) c + int_0^t y on the grid, for one
+element or a stack.  ``boundary_functional`` (samples (..., N+1, n) in,
+rows (..., n) out) and ``ResonanceData.obstruction`` take stacks too.
 
 The scalar in front of the obstruction projection is pinned by
 idempotency.  For y = c t^(a-1) the boundary functional evaluates
@@ -169,8 +169,8 @@ class ResonanceData:
         return self.matrix.shape[0]
 
     def obstruction(self, h: np.ndarray) -> np.ndarray:
-        """Obstruction coefficient kappa (I - R R^+) h of a boundary-functional value."""
-        return self.proj_scale * (self.offrange_proj @ h)
+        """Obstruction coefficient kappa (I - R R^+) h of a boundary-functional value or (m, n) row stack."""
+        return self.proj_scale * (self.offrange_proj @ h.T).T
 
 
 @dataclass(frozen=True)
@@ -261,18 +261,18 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
 def boundary_functional(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
 
-    v holds y's (N+1, n) node samples; xi must be a node of that grid.
-    The two kernel integrals are the quadrature's values at nodes xi and
-    1 alone, without a full sweep.
+    v holds y's (..., N+1, n) node samples, one row h per leading index;
+    xi must be a node of that grid.  The two kernel integrals are the
+    quadrature's values at nodes xi and 1 alone, without a full sweep.
     """
-    if v.shape[1] != spec.dim:
-        raise ValueError(f"grid dim {v.shape[1]} != operator dim {spec.dim}")
-    n = v.shape[0] - 1
+    if v.shape[-1] != spec.dim:
+        raise ValueError(f"grid dim {v.shape[-1]} != operator dim {spec.dim}")
+    n = v.shape[-2] - 1
     jxi = spec.xi * n
     if abs(jxi - round(jxi)) > 1e-9:
         raise ValueError(f"xi = {spec.xi} is not a node of the N = {n} grid")
-    at_xi, at_one = frac_integral_at(v, spec.ord.alpha, (int(round(jxi)), n))
-    return spec.a_op @ at_xi - at_one
+    at_xi, at_one = np.moveaxis(frac_integral_at(v, spec.ord.alpha, (int(round(jxi)), n)), -2, 0)
+    return np.matmul(spec.a_op, at_xi[..., None])[..., 0] - at_one
 
 
 def boundary_functional_power(p: PowerFn, spec: ProblemSpec) -> np.ndarray:
@@ -337,11 +337,11 @@ def evaluate(iv: np.ndarray, iy: np.ndarray, coef: np.ndarray, ord: Order) -> tu
     """Grid samples of x = coef t^(alpha-1) + I^alpha y and of its exact trace
     D^(alpha-1) x = Gamma(alpha) coef + int_0^t y, returned together.
 
-    iv = I^alpha y and iy = int_0^t y are (N+1, n) node samples.  coef is
-    one (n,) vector, giving (N+1, n) samples, or a stack (m, 1, n) of
-    coefficients over the same source, giving (m, N+1, n).
+    iv = I^alpha y and iy = int_0^t y are (N+1, n) node samples, or stacks
+    (m, N+1, n) of one source per element.  coef is one (n,) vector or a
+    stack (m, 1, n); the samples broadcast to (N+1, n) or (m, N+1, n).
     """
-    t = np.linspace(0.0, 1.0, iv.shape[0])
+    t = np.linspace(0.0, 1.0, iv.shape[-2])
     return t[:, None] ** ord.alpha_m1 * coef + iv, gamma(ord.alpha) * coef + iy
 
 

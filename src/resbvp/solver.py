@@ -6,7 +6,7 @@ in that representation, and applying the fractional derivative to the
 assembled x returns the source by construction.  Only the right-hand
 side and the boundary functional are discretized.  ``apply_rhs``,
 ``oriented_lift`` and ``residuals`` sample x and its trace through the
-one sampler ``resonance.evaluate``.
+one sampler ``resonance.evaluate``; ``rhs_functionals`` takes h of stacks.
 
 The iteration is the splitting map
 
@@ -181,8 +181,8 @@ def rhs_functionals(spec: ProblemSpec, count: int, sample: Callable[[slice], tup
     ``sample(s)`` returns x_i and D^(alpha-1) x_i on the grid for i in the
     slice s, each broadcastable to (len(s), N+1, n).  A chunk of at most
     ``_RHS_CHUNK_VALUES`` values (at least one element) is one ``eval_rhs``
-    call and the only one held; each row is ``boundary_functional`` of one
-    element's rhs samples, so it does not depend on the chunking.
+    call and the only one held; one ``boundary_functional`` call gives the
+    chunk's rows, each from one element alone, so none depends on the chunking.
     """
     rows, n = spec.grid_n + 1, spec.dim
     per = max(1, _RHS_CHUNK_VALUES // (rows * n))
@@ -191,7 +191,7 @@ def rhs_functionals(spec: ProblemSpec, count: int, sample: Callable[[slice], tup
         shape = (min(per, count - lo), rows, n)
         u, v = (np.broadcast_to(a, shape).reshape(-1, n) for a in sample(slice(lo, lo + shape[0])))
         w = eval_rhs(spec, t[: u.shape[0]], u, v).reshape(shape)
-        h[lo : lo + shape[0]] = [boundary_functional(wi, spec) for wi in w]
+        h[lo : lo + shape[0]] = boundary_functional(w, spec)
         del u, v, w  # not held while the next chunk is sampled
     return h
 
@@ -239,7 +239,7 @@ def oriented_lift(
     coefs = (x.coef + step * ker.T)[:, None]
     h = rhs_functionals(spec, rdata.dim_ker, lambda s: evaluate(iv, iy, coefs[s], spec.ord))
     # h is linear, so the secants difference h values.
-    gain = ker.T @ rdata.lift @ rdata.obstruction((h - boundary_functional(w.values, spec)).T) / step
+    gain = ker.T @ rdata.lift @ rdata.obstruction(h - boundary_functional(w.values, spec)).T / step
     if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)

@@ -16,6 +16,7 @@ MODULES = [m.name for m in pkgutil.iter_modules(resbvp.__path__, "resbvp.") if m
 SOURCES = sorted(p for p in Path(resbvp.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
+CHECKS = TRACING.with_name("checks.py")
 # Traced names whose function is already gone; the benchmark's table
 # drops them when it is next re-baselined.
 UNTRACEABLE = {"linops.kernel_basis"}
@@ -88,6 +89,35 @@ def test_every_workload_builds_its_run_config(tmp_path, monkeypatch):
             workloads.write_affine_inputs(0, tmp_path / "input")
         cfg = workload.run_config(0, tmp_path / name, tmp_path / "input")
         assert isinstance(cfg, RunConfig) and cfg.command == workload.command, name
+
+
+def _benchmark_module(path: Path, monkeypatch):
+    """A benchmark module loaded from its file and registered, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_passes_its_output_checks(tmp_path, monkeypatch):
+    # One failed flow check fails a whole benchmark run.  Two flows per
+    # workload, so the second also checks that solution.csv's bytes repeat.
+    checks = _benchmark_module(CHECKS, monkeypatch)
+    workloads = _benchmark_module(WORKLOADS, monkeypatch)
+    failed = {}
+    for name, workload in workloads.WORKLOADS.items():
+        reference, ref_csv = checks.load_reference(name)
+        ctx = checks.FlowContext(name, workload.max_iter, reference=reference, ref_csv=ref_csv)
+        inputs = tmp_path / name / "input"
+        if workload.generated:
+            ctx.affine = workloads.write_affine_inputs(0, inputs)
+        for flow in range(2):
+            out = tmp_path / name / f"flow-{flow}"
+            failures, _ = checks.check_flow(ctx, resbvp.cli.run(workload.run_config(0, out, inputs)), out)
+            if failures:
+                failed[f"{name} flow {flow}"] = failures
+    assert not failed
 
 
 def test_every_traced_function_exists():

@@ -22,6 +22,7 @@ from resbvp import (
     evaluate,
     fixed_point_map,
     frac_integral,
+    frac_integral_at,
     gamma,
     partial_inverse,
     project_kernel,
@@ -36,6 +37,13 @@ SQRT_PI = math.sqrt(math.pi)
 
 def zero_rhs(t, u, v):
     return np.zeros_like(u)
+
+
+# Operators on which the functionals must take element stacks exactly as one element at a time.
+STACK_SPECS = {
+    "section4-k2": lambda: build_section4(2, 256),
+    "resonant-6x6": lambda: make_resonant_spec(np.random.default_rng(23), 6, 2, grid_n=1024),
+}
 
 
 class TestBuildResonance:
@@ -153,6 +161,18 @@ class TestBoundaryFunctional:
         h = boundary_functional(y.values, spec)
         assert np.abs(h - from_sweep).max() <= 1e-14 * np.abs(full).max()
 
+    @pytest.mark.parametrize("make_spec", STACK_SPECS.values(), ids=STACK_SPECS.keys())
+    def test_stack_equals_per_element_calls(self, make_spec):
+        spec = make_spec()
+        n = spec.grid_n
+        stack = np.random.default_rng(5).standard_normal((2, 3, n + 1, spec.dim))
+        at = frac_integral_at(stack, spec.ord.alpha, (spec.xi_node, n))
+        h = boundary_functional(stack, spec)
+        assert at.shape == (2, 3, 2, spec.dim) and h.shape == (2, 3, spec.dim)
+        for i in np.ndindex(2, 3):
+            np.testing.assert_array_equal(at[i], frac_integral_at(stack[i], spec.ord.alpha, (spec.xi_node, n)))
+            np.testing.assert_array_equal(h[i], boundary_functional(stack[i], spec))
+
 
 class TestObstructionProjection:
     def test_idempotent_on_grid_inputs(self, sec4_spec, sec4_rdata):
@@ -174,6 +194,17 @@ class TestObstructionProjection:
         h_rest = boundary_functional(y.values, sec4_spec) - boundary_functional_power(q, sec4_spec)
         rest_coef = sec4_rdata.proj_scale * (sec4_rdata.offrange_proj @ h_rest)
         assert np.linalg.norm(rest_coef) <= 1e-13
+
+    @pytest.mark.parametrize("make_spec", STACK_SPECS.values(), ids=STACK_SPECS.keys())
+    def test_row_stack_agrees_with_per_row_calls(self, make_spec):
+        rdata = build_resonance(make_spec())
+        rows = np.random.default_rng(7).standard_normal((5, rdata.dim))
+        # One vector takes the matrix-vector product, so single-value figures stay bit-equal.
+        for h in rows:
+            np.testing.assert_array_equal(rdata.obstruction(h), rdata.proj_scale * (rdata.offrange_proj @ h))
+        stacked = rdata.obstruction(rows)
+        assert stacked.shape == rows.shape
+        np.testing.assert_allclose(stacked, [rdata.obstruction(h) for h in rows], rtol=0, atol=1e-14)
 
     def test_fixes_kernel_elements(self, sec4_spec, sec4_rdata):
         c = np.array([0.0, 0.0, 1.7])
@@ -342,6 +373,19 @@ class TestEvaluate:
             x1, t1 = evaluate(iv, iy, c, spec.ord)
             np.testing.assert_array_equal(xv, x1)
             np.testing.assert_array_equal(tv, t1)
+
+    @pytest.mark.parametrize("make_spec", STACK_SPECS.values(), ids=STACK_SPECS.keys())
+    def test_stacked_sources_equal_per_element_calls(self, make_spec):
+        spec = make_spec()
+        rng = np.random.default_rng(22)
+        iv, iy = rng.standard_normal((2, 4, spec.grid_n + 1, spec.dim))
+        coefs = rng.standard_normal((4, 1, spec.dim))
+        xs, ts = evaluate(iv, iy, coefs, spec.ord)
+        assert xs.shape == ts.shape == iv.shape
+        for i in range(4):
+            x1, t1 = evaluate(iv[i], iy[i], coefs[i, 0], spec.ord)
+            np.testing.assert_array_equal(xs[i], x1)
+            np.testing.assert_array_equal(ts[i], t1)
 
     def test_zero_source_stack_is_what_apply_rhs_samples(self, monkeypatch):
         spec = build_section4(2, 256)

@@ -378,7 +378,7 @@ class TestOrientedLift:
             boundary_functional(apply_rhs(spec, DomainElement(x0.coef + e, x0.source)).values, spec) - h0
             for e in step * rdata.kernel.T
         ]
-        expected = rdata.kernel.T @ rdata.lift @ rdata.obstruction(np.column_stack(shifts)) / step
+        expected = rdata.kernel.T @ rdata.lift @ rdata.obstruction(np.array(shifts)).T / step
         nonzero = []
         for module in (solver, resonance):
             original = module.frac_integral
