@@ -298,17 +298,24 @@ _CSV_BLOCK_ROWS = 512
 
 
 def _write_solution_csv(path: Path, report: SolveReport) -> None:
-    """Write t, x and the derivative trace (``residuals``' samples) in ``_fmt``'s format, in row blocks."""
+    """Write t, x and the derivative trace (``residuals``' samples) in ``_fmt``'s format, in row blocks.
+
+    A column that holds only +0.0 is the literal ``0`` in the row format,
+    the text ``%.17g`` gives it, so only the other columns are formatted;
+    a column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
+    """
     x, d = report.residuals.samples
     t = report.element.source.nodes
     n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
-    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
+    # +0.0 is the one double whose bits are all zero.
+    x_live, d_live = x.view(np.int64).any(axis=0), d.view(np.int64).any(axis=0)
+    row = ",".join("%.17g" if live else "0" for live in [True, *x_live, *d_live]) + "\n"
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for j in range(0, t.shape[0], _CSV_BLOCK_ROWS):
             rows = slice(j, j + _CSV_BLOCK_ROWS)
-            block = np.column_stack((t[rows], x[rows], d[rows]))
+            block = np.column_stack((t[rows], x[rows, x_live], d[rows, d_live]))
             f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

@@ -13,8 +13,10 @@ graded meshes.
 
 Its sums at all nodes form one causal convolution per component, which
 ``frac_integral`` computes as a ``numpy.fft`` real convolution in
-O(N log N); the spectrum of the weights is cached with the weights per
-(a, N).  ``frac_integral_at`` reads single nodes of a stack of sample
+O(N log N) for each component with data on y_1..y_N (a component that
+is zero there convolves to zero, as the block tails of the section4
+example stay from the zero start); the spectrum of the weights is cached
+with the weights per (a, N).  ``frac_integral_at`` reads single nodes of a stack of sample
 arrays from the same cached weights as O(N) products, which is all the
 boundary functional needs (nodes xi and 1).  The weights themselves are
 second and first differences of powers; they are evaluated as binomial
@@ -249,18 +251,19 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
     Node j approximates (1/Gamma(a)) int_0^{t_j} (t_j - s)^(a-1) y(s) ds
     with y replaced by its piecewise-linear interpolant; node 0 is zero.
     The sums over y_1..y_j at all nodes are one FFT convolution per
-    component with the cached spectrum of b.
+    component with data on y_1..y_N, with the cached spectrum of b; a
+    component that is zero there convolves to zero and is skipped.
     """
     _check_integration_order(a)
     n = y.n_intervals
-    if not y.values.any():
-        return GridFn.zeros(n, y.dim)
     _, w0, b_hat = _product_trapezoid_weights(a, n)
     size = _fft_size(n)
     out = np.zeros_like(y.values)
     # Per column, not one batched rfft: that holds all column spectra at once (+6% RSS at N=16384).
+    # The zero test is per column too: an any(axis=0) over the array costs 5x more where no column is zero.
     for c in range(y.dim):
-        out[1:, c] = np.fft.irfft(np.fft.rfft(y.values[1:, c], size) * b_hat, size)[:n]
+        if y.values[1:, c].any():
+            out[1:, c] = np.fft.irfft(np.fft.rfft(y.values[1:, c], size) * b_hat, size)[:n]
     out[1:] += np.outer(w0[1:], y.values[0])
     scale = y.step ** a / gamma(a + 2.0)
     return GridFn(scale * out)

@@ -1,9 +1,23 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from resbvp import Order, ProblemSpec, build_section4, cumulative_integral, evaluate, frac_integral
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """The benchmark's workload module, which writes the seeded affine inputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_resonant_spec(

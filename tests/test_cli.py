@@ -1,14 +1,16 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_workloads
 
 import resbvp.problems as problems
 import resbvp.resonance as resonance
-from resbvp import GrowthSpec, Order, ProblemSpec, build_section4, save_matrix_csv
-from resbvp.cli import main, parse_config
+from resbvp import GrowthSpec, Order, ProblemSpec, build_resonance, build_section4, save_matrix_csv, solve
+from resbvp.cli import _write_solution_csv, main, parse_config
 
 
 def run_cli(args):
@@ -148,6 +150,64 @@ class TestSolveFlow:
             assert code == 0
             outs.append((out / "solution.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def _plain_solution_csv(report) -> bytes:
+    """``solution.csv`` with ``%.17g`` applied to every value, row by row."""
+    x, d = report.residuals.samples
+    n = x.shape[1]
+    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
+    table = np.column_stack((report.element.source.nodes, x, d))
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _section4_report(k, n):
+    spec = build_section4(k, n)
+    return solve(spec, build_resonance(spec))
+
+
+class TestSolutionCsv:
+    def test_section4_with_zero_columns(self, tmp_path):
+        report = _section4_report(2, 256)
+        x, d = report.residuals.samples
+        assert 0 < np.count_nonzero(~x.any(axis=0)) < x.shape[1]  # the block tails stay zero
+        _write_solution_csv(tmp_path / "s.csv", report)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
+
+    def test_dense_affine(self, tmp_path):
+        workloads = load_workloads()
+        workloads.write_affine_inputs(0, tmp_path)
+        spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
+        report = solve(spec, build_resonance(spec))
+        assert all(s.all() for s in (report.residuals.samples[0][1:], report.residuals.samples[1]))
+        _write_solution_csv(tmp_path / "s.csv", report)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
+
+    def test_negative_zero_columns_are_formatted(self, tmp_path):
+        report = _section4_report(2, 64)
+        x, d = (s.copy() for s in report.residuals.samples)
+        x[:, 4] = -0.0
+        d[:, 5] = 0.0
+        d[::3, 5] = -0.0
+        report = replace(report, residuals=replace(report.residuals, samples=(x, d)))
+        _write_solution_csv(tmp_path / "s.csv", report)
+        text = (tmp_path / "s.csv").read_bytes()
+        assert text == _plain_solution_csv(report)
+        assert text.splitlines()[1].split(b",")[5] == b"-0"
+
+    def test_writer_holds_a_fraction_of_a_grid_array(self, tmp_path):
+        # The writer stacks 512-row blocks of the columns with data only;
+        # its traced peak is about 0.11 grid arrays at k = 4, N = 65536.
+        n = 65536
+        report = _section4_report(4, n)
+        tracemalloc.start()
+        try:
+            _write_solution_csv(tmp_path / "s.csv", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (n + 1) * report.element.coef.shape[0] * 8
 
 
 class TestConfigFiles:

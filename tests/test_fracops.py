@@ -17,7 +17,7 @@ from resbvp import (
     gamma,
     power_rule,
 )
-from resbvp.fracops import _product_trapezoid_weights, _trapezoid_weights
+from resbvp.fracops import _fft_size, _product_trapezoid_weights, _trapezoid_weights
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -223,6 +223,50 @@ class TestFFTConvolution:
             at = frac_integral_at(y.values, a, nodes)
             assert at.shape == (len(nodes), 3)
             assert np.abs(at - full[nodes]).max() <= 1e-14 * np.abs(full).max()
+
+
+def _every_column_frac_integral(y: np.ndarray, a: float) -> np.ndarray:
+    """``frac_integral`` with no column skipped: one FFT convolution per column."""
+    n = y.shape[0] - 1
+    _, w0, b_hat = _product_trapezoid_weights(a, n)
+    size = _fft_size(n)
+    out = np.zeros_like(y)
+    for c in range(y.shape[1]):
+        out[1:, c] = np.fft.irfft(np.fft.rfft(y[1:, c], size) * b_hat, size)[:n]
+    out[1:] += np.outer(w0[1:], y[0])
+    return GridFn((1.0 / n) ** a / gamma(a + 2.0) * out).values
+
+
+def _sparse_columns(n: int) -> np.ndarray:
+    """Columns: data, zero, -0.0, nonzero only at y_0, data, zero."""
+    t = _nodes(n)
+    y = np.zeros((n + 1, 6))
+    y[:, 0] = 1.0 + np.sin(3.0 * t)
+    y[:, 2] = -0.0
+    y[0, 3] = 2.5
+    y[:, 4] = t**2 - 0.5
+    return y
+
+
+class TestZeroColumns:
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    @pytest.mark.parametrize(
+        "y",
+        [_sparse_columns(256), np.zeros((257, 3)), np.full((257, 2), -0.0)],
+        ids=["mixed", "zero-source", "negative-zero-source"],
+    )
+    def test_bit_equal_to_convolving_every_column(self, y, a):
+        out = frac_integral(GridFn(y), a).values
+        assert np.array_equal(out.view(np.int64), _every_column_frac_integral(y, a).view(np.int64))
+
+    def test_one_rfft_per_column_with_data(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(1) or rfft(*args))
+        _product_trapezoid_weights.cache_clear()
+        frac_integral(GridFn(_sparse_columns(128)), 0.5)
+        # The weight spectrum, then columns 0 and 4: column 3 is zero on y_1..y_N.
+        assert len(calls) == 3
 
 
 class TestFracIntegralPower:

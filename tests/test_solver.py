@@ -1,13 +1,10 @@
 import dataclasses
-import importlib.util
 import math
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import element_samples, make_resonant_spec
+from conftest import element_samples, load_workloads, make_resonant_spec
 
 from resbvp import (
     DomainElement,
@@ -31,16 +28,6 @@ from resbvp import resonance, solver
 from resbvp.cli import parse_config
 
 SQRT_PI = math.sqrt(math.pi)
-WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    """The benchmark's workload module, which writes the seeded affine inputs."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestApplyRhs:
@@ -302,7 +289,7 @@ class TestSolve:
         # The seeded affine solve takes 13 steps, so its history fills to
         # depth 4: x and 2 * depth arrays are held across each N x.  The
         # traced peak is 14.51 (N+1) x dim arrays, inside the loop.
-        workloads = _load_workloads()
+        workloads = load_workloads()
         workloads.write_affine_inputs(0, tmp_path)
         spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
         rdata = build_resonance(spec)
@@ -320,7 +307,7 @@ class TestSolve:
 class TestOrientedLift:
     @pytest.mark.parametrize("seed", range(10))
     def test_affine_gain_matches_closed_form(self, seed, tmp_path):
-        workloads = _load_workloads()
+        workloads = load_workloads()
         workloads.write_affine_inputs(seed, tmp_path)
         spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
         rdata = build_resonance(spec)
