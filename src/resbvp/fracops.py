@@ -13,12 +13,13 @@ graded meshes.
 
 Its sums at all nodes form one causal convolution per component, which
 ``frac_integral`` computes as a ``numpy.fft`` real convolution in
-O(N log N) for each component with data on y_1..y_N (a component that
-is zero there convolves to zero, as the block tails of the section4
-example stay from the zero start); the spectrum of the weights is cached
-with the weights per (a, N).  ``frac_integral_at`` reads single nodes of a stack of sample
-arrays from the same cached weights as O(N) products, which is all the
-boundary functional needs (nodes xi and 1).  The weights themselves are
+O(N log N) for each component with data on y_1..y_N; a component that
+is zero there, such as a block tail of the section4 example from the
+zero start, convolves to zero and is skipped.  The spectrum of the
+weights is cached with the weights per (a, N).  ``frac_integral_at``
+reads single nodes of a stack of sample arrays from the same cached
+weights as O(N) products, which is all the boundary functional needs
+(nodes xi and 1).  The weights themselves are
 second and first differences of powers; they are evaluated as binomial
 series in 1/m whose cancelling leading terms drop out analytically, so
 they keep full relative precision where the direct differences lose
