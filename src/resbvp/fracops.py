@@ -320,8 +320,15 @@ def frac_derivative(x: GridFn, ord: Order) -> GridFn:
 
 
 def cumulative_integral(y: GridFn) -> GridFn:
-    """Cumulative trapezoidal integral int_0^{t_j} y(s) ds; node 0 is zero."""
-    out = np.zeros_like(y.values)
-    avg = 0.5 * (y.values[1:] + y.values[:-1])
-    out[1:] = np.cumsum(avg, axis=0) * y.step
+    """Cumulative trapezoidal integral int_0^{t_j} y(s) ds; node 0 is zero.
+
+    A component of only +0.0 (its bits all zero) integrates to +0.0 and is
+    skipped; a component holding -0.0 is summed, as its integral is -0.0.
+    """
+    v = y.values
+    live = [c for c in range(y.dim) if v[:, c].view(np.int64).any()]
+    cols = slice(None) if len(live) == y.dim else live
+    out = np.zeros_like(v)
+    if live:
+        out[1:, cols] = np.cumsum(0.5 * (v[1:, cols] + v[:-1, cols]), axis=0) * y.step
     return GridFn(out)

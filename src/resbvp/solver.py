@@ -65,8 +65,11 @@ _GAIN_STEP = 1e-6
 # The probed gain is inverted only when its smallest singular value
 # exceeds this many ulps of the rhs values per secant step.
 _GAIN_NOISE_ULPS = 1e3
-# Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element).
-_RHS_CHUNK_VALUES = 3072
+# Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element):
+# 21 elements at N = 256, n = 3.  2^14 is the largest power of two that leaves a cold
+# check-hypotheses flow's peak RSS flat (5 fresh interpreters per cap, N = 256: 3072 and
+# 16384 both 38.7-38.9 MB, 32768 39.4-39.6 MB, 65536 41.2-41.3 MB).
+_RHS_CHUNK_VALUES = 16384
 # Anderson mixing fits the residual by at most this many residual differences.
 _MIX_DEPTH = 4
 # The mixing fit is refused when its Gram matrix's condition number exceeds this.
@@ -155,9 +158,8 @@ def eval_rhs(spec: ProblemSpec, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> 
     f = np.asarray(spec.rhs(t, u, v), dtype=float)
     if f.shape != u.shape:
         raise RhsEvaluationError(f"rhs returned shape {f.shape}, expected {u.shape}")
-    finite = np.isfinite(f).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
+    if not np.isfinite(f).all():  # one test over the block; rows are searched only on failure
+        j = int(np.argmin(np.isfinite(f).all(axis=1)))
         raise RhsEvaluationError(f"rhs returned non-finite values at node {j} (t = {t[j]:g})")
     return f
 
@@ -180,9 +182,10 @@ def rhs_functionals(spec: ProblemSpec, count: int, sample: Callable[[slice], tup
 
     ``sample(s)`` returns x_i and D^(alpha-1) x_i on the grid for i in the
     slice s, each broadcastable to (len(s), N+1, n).  A chunk of at most
-    ``_RHS_CHUNK_VALUES`` values (at least one element) is one ``eval_rhs``
-    call and the only one held; one ``boundary_functional`` call gives the
-    chunk's rows, each from one element alone, so none depends on the chunking.
+    ``_RHS_CHUNK_VALUES`` = 2^14 values (at least one element: 21 at N = 256,
+    n = 3; one at N = 4096, n = 12) is one ``eval_rhs`` call and the only
+    one held; one ``boundary_functional`` call gives the chunk's rows, each
+    from one element alone, so none depends on the chunking.
     """
     rows, n = spec.grid_n + 1, spec.dim
     per = max(1, _RHS_CHUNK_VALUES // (rows * n))

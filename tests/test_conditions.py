@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import element_samples
+from conftest import element_samples, make_resonant_spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from resbvp import (
     cumulative_integral,
     eval_rhs,
     gamma,
+    oriented_lift,
     probe_kernel_sign,
     probe_large_trace_defect,
     section4_growth,
@@ -442,6 +443,45 @@ class TestBatchedProbes:
             gaps.append(max(abs(probe.min_defect - lo) / lo, abs(probe.max_defect - hi) / hi))
         assert gaps[0] <= 1e-5
         assert 0.0 < gaps[1] <= gaps[0] / 8.0
+
+    def test_default_chunks(self):
+        # 2^14 values hold 21 elements at N = 256, n = 3: 100 samples are 4 full chunks and one of 16.
+        spec = build_section4(1, 256)
+        rdata = build_resonance(spec)
+        calls = []
+        counted = dataclasses.replace(spec, rhs=lambda t, u, v: calls.append(t.size) or spec.rhs(t, u, v))
+        for probe in (probe_large_trace_defect, probe_kernel_sign):
+            calls.clear()
+            probe(counted, rdata, 1.0, 100, seed=1)
+            assert calls == [21 * 257] * 4 + [16 * 257]
+
+    def test_kernel_gain_secants_share_one_call(self):
+        # dim_ker = 2 secants of 1025 x 6 values each fit in one chunk.
+        calls = []
+        spec = dataclasses.replace(
+            make_resonant_spec(np.random.default_rng(4), 6, 2, grid_n=1024),
+            rhs=lambda t, u, v: calls.append(t.size) or 0.5 * u - 0.25 * v + 1.0,
+        )
+        rdata = build_resonance(spec)
+        zero = DomainElement.zero(spec.grid_n, spec.dim)
+        w = apply_rhs(spec, zero)
+        calls.clear()
+        oriented_lift(spec, rdata, zero, w)
+        assert calls == [2 * 1025]
+
+    @pytest.mark.parametrize("probe", [probe_large_trace_defect, probe_kernel_sign])
+    def test_probe_memory_stays_under_one_mib(self, probe):
+        spec = build_section4(1, 256)
+        rdata = build_resonance(spec)
+        probe(spec, rdata, 1.0, 100, seed=1)  # caches the quadrature weights
+        tracemalloc.start()
+        try:
+            probe(spec, rdata, 1.0, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 0.75 MB with 2^14-value chunks; one stack of all 100 elements takes about 3.2 MB.
+        assert peak < 2**20
 
     def test_trace_probe_holds_one_chunk_at_a_time(self):
         spec = build_section4(1, 65536)

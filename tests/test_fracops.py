@@ -352,7 +352,38 @@ class TestFracDerivative:
         assert np.abs(basis @ coef - z[interior]).max() <= 1e-3
 
 
+def _every_column_cumulative_integral(y: np.ndarray) -> np.ndarray:
+    """``cumulative_integral`` with no column skipped: one whole-array expression."""
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]), axis=0) * (1.0 / (y.shape[0] - 1))
+    return out
+
+
 class TestCumulativeIntegral:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            _sparse_columns(256),
+            np.full((257, 2), -0.0),
+            np.zeros((257, 3)),
+            np.random.default_rng(0).standard_normal((257, 3)),
+        ],
+        ids=["mixed", "negative-zero-source", "zero-source", "dense"],
+    )
+    def test_bit_equal_to_summing_every_column(self, y):
+        out = cumulative_integral(GridFn(y)).values
+        assert np.array_equal(out.view(np.int64), _every_column_cumulative_integral(y).view(np.int64))
+
+    def test_sums_only_columns_with_set_bits(self, monkeypatch):
+        shapes = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda a, axis: shapes.append(a.shape) or cumsum(a, axis=axis))
+        # Columns 0, 2 (-0.0), 3 (nonzero only at y_0) and 4 are summed; 1 and 5 hold only +0.0.
+        cumulative_integral(GridFn(_sparse_columns(128)))
+        cumulative_integral(GridFn(np.zeros((129, 3))))
+        cumulative_integral(GridFn(np.ones((129, 3))))
+        assert shapes == [(128, 4), (128, 3)]
+
     def test_constant(self):
         n = 32
         t = _nodes(n)

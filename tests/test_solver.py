@@ -17,6 +17,7 @@ from resbvp import (
     boundary_functional,
     build_resonance,
     build_section4,
+    eval_rhs,
     fixed_point_map,
     frac_integral,
     oriented_lift,
@@ -103,6 +104,23 @@ class TestRhsContract:
         )
         with pytest.raises(RhsEvaluationError, match=r"shape \(3,\), expected \(65, 3\)"):
             apply_rhs(spec, DomainElement.zero(64, 3))
+
+
+    def test_stacked_call_names_first_non_finite_row(self):
+        # Two stacked 65-node elements: row 40 has a NaN, row 41 an inf.
+        t = np.tile(np.linspace(0.0, 1.0, 65), 2)
+        f = np.zeros((130, 3))
+        f[40, 2], f[41, 0] = np.nan, np.inf
+        spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: f, 64)
+        with pytest.raises(RhsEvaluationError, match=r"non-finite values at node 40 \(t = 0\.625\)"):
+            eval_rhs(spec, t, np.zeros((130, 3)), np.zeros((130, 3)))
+
+    def test_finite_block_is_returned_unchanged(self):
+        t = np.tile(np.linspace(0.0, 1.0, 65), 2)
+        f = np.random.default_rng(0).standard_normal((130, 3))
+        spec = ProblemSpec(Order(1.5), 0.25, np.diag([1.5, 1.75, 2.0]), lambda t, u, v: f, 64)
+        out = eval_rhs(spec, t, np.zeros((130, 3)), np.zeros((130, 3)))
+        assert np.array_equal(out.view(np.int64), f.view(np.int64))
 
 
 class TestFixedPointMap:
