@@ -326,7 +326,8 @@ def cumulative_integral(y: GridFn) -> GridFn:
     skipped; a component holding -0.0 is summed, as its integral is -0.0.
     """
     v = y.values
-    live = [c for c in range(y.dim) if v[:, c].view(np.int64).any()]
+    # A nonzero last node settles a dense column at once; only the others are scanned.
+    live = [c for c in range(y.dim) if v[-1, c] != 0.0 or v[:, c].view(np.int64).any()]
     cols = slice(None) if len(live) == y.dim else live
     out = np.zeros_like(v)
     if live:
