@@ -67,8 +67,9 @@ _GAIN_STEP = 1e-6
 _GAIN_NOISE_ULPS = 1e3
 # Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element):
 # 21 elements at N = 256, n = 3.  2^14 is the largest power of two that leaves a cold
-# check-hypotheses flow's peak RSS flat (5 fresh interpreters per cap, N = 256: 3072 and
-# 16384 both 38.7-38.9 MB, 32768 39.4-39.6 MB, 65536 41.2-41.3 MB).
+# check-hypotheses flow's peak RSS (N = 256) within 0.3 MB of its value at 3072: five fresh
+# interpreters per cap read 38.7-38.9 MB at 3072, 38.8-39.0 at 16384, 39.5-39.8 at 32768
+# and 41.0-41.3 at 65536 (Python 3.11, numpy 2.4, x86-64 Linux).
 _RHS_CHUNK_VALUES = 16384
 # Anderson mixing fits the residual by at most this many residual differences.
 _MIX_DEPTH = 4

@@ -105,7 +105,6 @@ class TestRhsContract:
         with pytest.raises(RhsEvaluationError, match=r"shape \(3,\), expected \(65, 3\)"):
             apply_rhs(spec, DomainElement.zero(64, 3))
 
-
     def test_stacked_call_names_first_non_finite_row(self):
         # Two stacked 65-node elements: row 40 has a NaN, row 41 an inf.
         t = np.tile(np.linspace(0.0, 1.0, 65), 2)
