@@ -40,7 +40,8 @@ Every command rejects a negative seed.
 Exit codes: 0 success; 1 non-resonant problem, or failed smallness
 margins in check-hypotheses and verify-example (ahead of
 non-convergence); 2 solver non-convergence; 3 input or usage error (a
-value error in a config file names its line as ``<path>:<line>:``).
+value error in a config file names its line as ``<path>:<line>:``), or a
+problem too large for the memory available (the line names the grid).
 Every command prints the margins once.
 """
 
@@ -294,29 +295,38 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-_CSV_BLOCK_ROWS = 512
+# The most values g17.format_rows formats at once.  The writer's traced
+# peak is about 200 bytes a value: 0.38 MB on solve-affine (1025 x 13
+# values), 0.44 MB on section4 k=4 (4097 x 3); 4096 gives no clear gain.
+_CSV_BLOCK_VALUES = 2048
 
 
 def _write_solution_csv(path: Path, report: SolveReport) -> None:
-    """Write t, x and the derivative trace (``residuals``' samples) in ``_fmt``'s format, in row blocks.
+    """Write t, x and the derivative trace (``residuals``' samples) as ``%.17g`` text, in blocks.
 
-    A column that holds only +0.0 is the literal ``0`` in the row format,
-    the text ``%.17g`` gives it, so only the other columns are formatted;
-    a column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
+    Each cell is byte for byte ``'%.17g' % v``, computed in numpy by
+    ``g17.format_rows`` (its module docstring gives the argument).  A
+    column that holds only +0.0 is the literal ``0`` in the row text, the
+    text ``%.17g`` gives it, so only the other columns are formatted; a
+    column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
     """
+    from . import g17  # here, not at start-up: see its module docstring
+
     x, d = report.residuals.samples
     t = report.element.source.nodes
     n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
     # +0.0 is the one double whose bits are all zero.
     x_live, d_live = x.view(np.int64).any(axis=0), d.view(np.int64).any(axis=0)
-    row = ",".join("%.17g" if live else "0" for live in [True, *x_live, *d_live]) + "\n"
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for j in range(0, t.shape[0], _CSV_BLOCK_ROWS):
-            rows = slice(j, j + _CSV_BLOCK_ROWS)
-            block = np.column_stack((t[rows], x[rows, x_live], d[rows, d_live]))
-            f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    row = ",".join("%" if live else "0" for live in [True, *x_live, *d_live]) + "\n"
+    # The text after each formatted cell: a separator and the zero columns up to the next one.
+    tails = g17.cell_tails([s.encode() for s in row.split("%")[1:]])
+    step = max(1, _CSV_BLOCK_VALUES // tails.shape[0])
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for j in range(0, t.shape[0], step):
+            rows = slice(j, j + step)
+            f.write(g17.format_rows(np.column_stack((t[rows], x[rows, x_live], d[rows, d_live])), tails))
 
 
 def _resonance_lines(rdata: ResonanceData) -> list[str]:
@@ -419,6 +429,7 @@ def run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     lines: list[str] = [f"resbvp report: command = {cfg.command}"]
     exit_code = 0
+    grid_n = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         if cfg.builtin and cfg.config_path:
@@ -431,6 +442,7 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError(f"--seed must be nonnegative, got {cfg.seed}")
         opts = SolveOptions(relax=cfg.damping, max_iter=cfg.max_iter)
         spec, growth, label = _build_problem(cfg)
+        grid_n = spec.grid_n
         lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
         lines += [
             "== problem ==",
@@ -479,6 +491,11 @@ def run(cfg: RunConfig) -> int:
         exit_code = 1
     except (ConfigError, RhsEvaluationError, ValueError, OSError) as exc:
         lines += ["", f"error: {exc}"]
+        exit_code = 3
+    except MemoryError as exc:
+        # numpy's text names the allocation; the grid is what a caller can change.
+        at = f" at grid_n = {grid_n}" if grid_n is not None else ""
+        lines += ["", f"error: out of memory{at}: {str(exc) or 'allocation failed'}"]
         exit_code = 3
 
     text = "\n".join(lines) + "\n"

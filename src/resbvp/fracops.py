@@ -260,12 +260,14 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
     _, w0, b_hat = _product_trapezoid_weights(a, n)
     size = _fft_size(n)
     out = np.zeros_like(y.values)
+    y0 = y.values[0]
     # Per column, not one batched rfft: that holds all column spectra at once (+6% RSS at N=16384).
     # The zero test is per column too: an any(axis=0) over the array costs 5x more where no column is zero.
+    # The w0 y_0 term is added to every column, so a -0.0 product on a zero column still reads +0.0.
     for c in range(y.dim):
         if y.values[1:, c].any():
             out[1:, c] = np.fft.irfft(np.fft.rfft(y.values[1:, c], size) * b_hat, size)[:n]
-    out[1:] += np.outer(w0[1:], y.values[0])
+        out[1:, c] += w0[1:] * y0[c]
     scale = y.step ** a / gamma(a + 2.0)
     return GridFn(scale * out)
 

@@ -1,6 +1,8 @@
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import resbvp.problems as problems
 import resbvp.resonance as resonance
 from resbvp import GrowthSpec, Order, ProblemSpec, build_resonance, build_section4, save_matrix_csv, solve
 from resbvp.cli import _write_solution_csv, main, parse_config
+from resbvp.g17 import cell_tails, format_rows
 
 
 def run_cli(args):
@@ -208,6 +211,76 @@ class TestSolutionCsv:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * (n + 1) * report.element.coef.shape[0] * 8
+
+
+def _g17_lines(values: np.ndarray) -> list[bytes]:
+    """``format_rows`` over one column of values, one line a value, in 2^14-value calls."""
+    tails = cell_tails([b"\n"])
+    lines = []
+    for j in range(0, values.size, 1 << 14):
+        lines += bytes(format_rows(values[j : j + (1 << 14), None], tails)).split(b"\n")[:-1]
+    return lines
+
+
+def _seventeen_digit_ties(rng, per_exponent):
+    """Doubles exactly halfway between two 17-digit decimals: v = m 2^(X-17)
+    with m odd and 10^X <= v < 10^(X+1) gives v 10^(16-X) = m 5^(16-X) / 2.
+    Random m, and the 500 odd m at each end of the range, where log10 may
+    put v in the neighbouring decade."""
+    out = []
+    for x in range(-6, 15):
+        lo = math.ceil(Fraction(10) ** x * 2 ** (17 - x))
+        hi = min(math.ceil(Fraction(10) ** (x + 1) * 2 ** (17 - x)), 2**53)
+        ends = np.concatenate([lo + np.arange(1000), hi - 1 - np.arange(1000)])
+        m = np.concatenate([rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1, ends[ends % 2 == 1]])
+        v = np.ldexp(m[(m >= lo) & (m < hi)].astype(float), x - 17)
+        assert all((Fraction(u) * 10 ** (16 - x) * 2).denominator == 1 for u in v[:3].tolist())
+        out.append(v)
+    return np.concatenate(out)
+
+
+class TestG17Formatter:
+    def test_matches_percent_formatting(self):
+        # Over 10^6 values: every binade (the exponent field 0..2046, so the
+        # subnormals too) with random mantissas, log-uniform values across
+        # the fast range, exact 17-digit ties, and each power of ten from
+        # 1e-8 to 1e18 (1e-6, 1e-5, 1e-4, 1e16 and 1e17 among them) with its
+        # two neighbours on each side.
+        rng = np.random.default_rng(17)
+        exponent = np.repeat(np.arange(2047, dtype=np.uint64), 120)
+        mantissa = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, exponent.size, dtype=np.uint64)
+        binades = ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
+        subnormal = np.ldexp(rng.integers(1, 2**52, 5000).astype(float), -1074)
+        fast_range = rng.choice([-1.0, 1.0], 560000) * 10.0 ** rng.uniform(-7.0, 17.0, 560000)
+        ties = _seventeen_digit_ties(rng, 5000)
+        down = up = [np.array([float(f"1e{k}") for k in range(-8, 19)])]
+        for _ in range(2):
+            down = down + [np.nextafter(down[-1], 0.0)]
+            up = up + [np.nextafter(up[-1], np.inf)]
+        boundaries = np.concatenate(down + up[1:])
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308])
+        values = np.concatenate([binades, subnormal, fast_range, ties, -ties, boundaries, -boundaries, special])
+        assert values.size >= 10**6
+        assert ties.size > 50000
+        expected = [("%.17g" % v).encode() for v in values.tolist()]
+        got = _g17_lines(values)
+        assert len(got) == values.size
+        wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert not wrong, wrong[:5]
+
+    def test_fallback_values_in_a_live_column(self, tmp_path):
+        # A column with data and values the writer hands to % itself: zeros,
+        # |v| <= 1e-6 (subnormals too), |v| >= 1e16; and exponent-form values.
+        report = _section4_report(2, 64)
+        x, d = (s.copy() for s in report.residuals.samples)
+        special = [0.0, -0.0, 1e-7, -3e-9, 5e-324, -2.2250738585072014e-308, 1e-6, 1e16, -2.5e17, 1e300]
+        x[1 : 1 + len(special), 0] = special
+        exponent_form = [3e-6, -7.5e-5, 9.999999999999999e-05, 1.0000000000000001e-05, -1e-5, 2e-6]
+        d[::5, 1] = exponent_form + [1e-4, 0.5, 12.0, -1e15, 123456789.125, 0.00012, 4.0]
+        report = replace(report, residuals=replace(report.residuals, samples=(x, d)))
+        _write_solution_csv(tmp_path / "s.csv", report)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
 
 
 class TestConfigFiles:
@@ -468,6 +541,18 @@ class TestExitCodes:
         assert code == 3
         text = (out / "report.txt").read_text()
         assert "--builtin and --config cannot be used together" in text
+        assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check-hypotheses", "analyze"])
+    def test_grid_beyond_memory_exits_three(self, tmp_path, capsys, command):
+        # 10^11 + 1 nodes of float64 are 745 GiB: the first grid-sized
+        # allocation fails at once, and nothing near the memory is touched.
+        out = tmp_path / "r"
+        assert run_cli([command, "--builtin", "section4", "--grid", "100000000000", "--out", str(out)]) == 3
+        errors = [line for line in (out / "report.txt").read_text().splitlines() if "error" in line.lower()]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: out of memory at grid_n = 100000000000: ")
+        assert "Traceback" not in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
 
     @pytest.mark.parametrize("k", ["7", "1"])

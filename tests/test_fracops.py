@@ -237,14 +237,17 @@ def _every_column_frac_integral(y: np.ndarray, a: float) -> np.ndarray:
     return GridFn((1.0 / n) ** a / gamma(a + 2.0) * out).values
 
 
-def _sparse_columns(n: int) -> np.ndarray:
-    """Columns: data, zero, -0.0, nonzero only at y_0, data, zero."""
+def _sparse_columns(n: int, y0: float | None = None) -> np.ndarray:
+    """Columns: data, zero, -0.0, nonzero only at y_0, data, zero; with
+    y0 given, every column's y_0 is y0."""
     t = _nodes(n)
     y = np.zeros((n + 1, 6))
     y[:, 0] = 1.0 + np.sin(3.0 * t)
     y[:, 2] = -0.0
     y[0, 3] = 2.5
     y[:, 4] = t**2 - 0.5
+    if y0 is not None:
+        y[0] = y0
     return y
 
 
@@ -252,8 +255,14 @@ class TestZeroColumns:
     @pytest.mark.parametrize("a", [0.5, 1.5])
     @pytest.mark.parametrize(
         "y",
-        [_sparse_columns(256), np.zeros((257, 3)), np.full((257, 2), -0.0)],
-        ids=["mixed", "zero-source", "negative-zero-source"],
+        [
+            _sparse_columns(256),
+            _sparse_columns(256, y0=-0.0),
+            _sparse_columns(256, y0=0.0),
+            np.zeros((257, 3)),
+            np.full((257, 2), -0.0),
+        ],
+        ids=["mixed", "mixed-negative-zero-y0", "mixed-zero-y0", "zero-source", "negative-zero-source"],
     )
     def test_bit_equal_to_convolving_every_column(self, y, a):
         out = frac_integral(GridFn(y), a).values
