@@ -305,10 +305,28 @@ def _write_solution_csv(path: Path, report: SolveReport) -> None:
     """Write t, x and the derivative trace (``residuals``' samples) as ``%.17g`` text, in blocks.
 
     Each cell is byte for byte ``'%.17g' % v``, computed in numpy by
-    ``g17.format_rows`` (its module docstring gives the argument).  A
-    column that holds only +0.0 is the literal ``0`` in the row text, the
-    text ``%.17g`` gives it, so only the other columns are formatted; a
-    column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
+    ``g17.format_rows``:
+
+    - A finite v with 1e-6 < |v| < 1e16 has a decimal exponent X in
+      [-6, 15] (the double 1e-6 lies below 10^-6).  The scale 10^(16-X) is
+      an exact double, and Dekker's product of the Veltkamp-split factors
+      gives p + e = |v| 10^(16-X) exactly (Numer. Math. 18 (1971) 224-242).
+    - p >= 1e16 > 2^53 is an even integer, so D = p + rint(e) is the
+      product rounded half-even to an integer: the 17 digits of
+      ``%.17g``.  D = 10^17 becomes 10^16 with exponent X + 1.
+    - X starts as floor(log10 |v|), off by at most one.  Where D falls
+      outside (10^16, 10^17), X is corrected by comparing the pair (p, e)
+      exactly against 1e16 and 1e17, and only those values are multiplied
+      again.
+    - The text follows C's %g at precision 17: fixed notation when
+      -4 <= X < 17, else the exponent form ``e-05``/``e-06``; trailing
+      zeros are dropped, and so is a bare ``.``.
+    - Every other value (+-0.0, |v| <= 1e-6, |v| >= 1e16, inf and nan) is
+      formatted by ``'%.17g' % v``.
+
+    A column that holds only +0.0 is the literal ``0`` in the row text,
+    the text ``%.17g`` gives it, so only the other columns are formatted;
+    a column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
     """
     from . import g17  # here, not at start-up: see its module docstring
 
