@@ -216,7 +216,7 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         grid_n = ival(problem, "grid_n", 256)
         builtin = BUILTINS[op_builtin]
         for key, fixed in (("alpha", builtin.alpha), ("xi", builtin.xi)):
-            if abs(fval(problem, key, fixed) - fixed) > 1e-12:
+            if not abs(fval(problem, key, fixed) - fixed) <= 1e-12:  # nan too
                 raise ConfigError(
                     f"{at(problem, key)} builtin {op_builtin!r} fixes "
                     f"alpha = {builtin.alpha} and xi = {builtin.xi}"
@@ -293,58 +293,6 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-# The most values g17.format_rows formats at once.  The writer's traced
-# peak is about 200 bytes a value: 0.38 MB on solve-affine (1025 x 13
-# values), 0.44 MB on section4 k=4 (4097 x 3); 4096 gives no clear gain.
-_CSV_BLOCK_VALUES = 2048
-
-
-def _write_solution_csv(path: Path, report: SolveReport) -> None:
-    """Write t, x and the derivative trace (``residuals``' samples) as ``%.17g`` text, in blocks.
-
-    Each cell is byte for byte ``'%.17g' % v``, computed in numpy by
-    ``g17.format_rows``:
-
-    - A finite v with 1e-6 < |v| < 1e16 has a decimal exponent X in
-      [-6, 15] (the double 1e-6 lies below 10^-6).  The scale 10^(16-X) is
-      an exact double, and Dekker's product of the Veltkamp-split factors
-      gives p + e = |v| 10^(16-X) exactly (Numer. Math. 18 (1971) 224-242).
-    - p >= 1e16 > 2^53 is an even integer, so D = p + rint(e) is the
-      product rounded half-even to an integer: the 17 digits of
-      ``%.17g``.  D = 10^17 becomes 10^16 with exponent X + 1.
-    - X starts as floor(log10 |v|), off by at most one.  Where D falls
-      outside (10^16, 10^17), X is corrected by comparing the pair (p, e)
-      exactly against 1e16 and 1e17, and only those values are multiplied
-      again.
-    - The text follows C's %g at precision 17: fixed notation when
-      -4 <= X < 17, else the exponent form ``e-05``/``e-06``; trailing
-      zeros are dropped, and so is a bare ``.``.
-    - Every other value (+-0.0, |v| <= 1e-6, |v| >= 1e16, inf and nan) is
-      formatted by ``'%.17g' % v``.
-
-    A column that holds only +0.0 is the literal ``0`` in the row text,
-    the text ``%.17g`` gives it, so only the other columns are formatted;
-    a column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
-    """
-    from . import g17  # here, not at start-up: see its module docstring
-
-    x, d = report.residuals.samples
-    t = report.element.source.nodes
-    n = x.shape[1]
-    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
-    # +0.0 is the one double whose bits are all zero.
-    x_live, d_live = x.view(np.int64).any(axis=0), d.view(np.int64).any(axis=0)
-    row = ",".join("%" if live else "0" for live in [True, *x_live, *d_live]) + "\n"
-    # The text after each formatted cell: a separator and the zero columns up to the next one.
-    tails = g17.cell_tails([s.encode() for s in row.split("%")[1:]])
-    step = max(1, _CSV_BLOCK_VALUES // tails.shape[0])
-    with path.open("wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for j in range(0, t.shape[0], step):
-            rows = slice(j, j + step)
-            f.write(g17.format_rows(np.column_stack((t[rows], x[rows, x_live], d[rows, d_live])), tails))
 
 
 def _resonance_lines(rdata: ResonanceData) -> list[str]:
@@ -501,7 +449,9 @@ def run(cfg: RunConfig) -> int:
                 lines += _golden_lines(verify_section4(spec, rdata, seed=cfg.seed))
             report = solve(spec, rdata, opts)
             lines += _solve_lines(report)
-            _write_solution_csv(out / "solution.csv", report)
+            from . import g17  # here, not at start-up: see its module docstring
+
+            g17.write_solution(out / "solution.csv", report.element.source.nodes, *report.residuals.samples)
             if exit_code == 0 and not report.converged:
                 exit_code = 2
     except NonResonantError as exc:

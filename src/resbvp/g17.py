@@ -1,9 +1,26 @@
-"""``'%.17g' % v`` for blocks of doubles, computed in numpy, byte for byte.
+"""``solution.csv``: t, x and the derivative trace as ``'%.17g' % v`` text, computed in numpy.
 
 Python's ``%`` takes about 0.5 us a value at 17 digits, more than dtoa's
-fast path handles.  ``format_rows`` writes the rows of a block of values
-as text two to three times faster.  ``cli._write_solution_csv``, its one
-caller, gives the argument that the bytes are exactly those of ``%``.
+fast path handles; ``write_solution`` writes the same bytes two to three
+times faster.  Each cell is byte for byte ``'%.17g' % v``:
+
+- A finite v with 1e-6 < |v| < 1e16 has a decimal exponent X in
+  [-6, 15] (the double 1e-6 lies below 10^-6).  The scale 10^(16-X) is
+  an exact double, and Dekker's product of the Veltkamp-split factors
+  gives p + e = |v| 10^(16-X) exactly (Numer. Math. 18 (1971) 224-242).
+- p >= 1e16 > 2^53 is an even integer, so D = p + rint(e) is the
+  product rounded half-even to an integer: the 17 digits of ``%.17g``.
+- X starts as floor(log10 |v|), off by at most one.  Where D falls
+  outside (10^16, 10^17), X is corrected by comparing the pair (p, e)
+  exactly against 1e16 and 1e17, and only those values are multiplied
+  again.  With X right, D never rounds up to 10^17: the largest double
+  below each power of ten from 10^-5 to 10^16 lies 8 or more units of
+  the 17th digit below it.
+- The text follows C's %g at precision 17: fixed notation when
+  -4 <= X < 17, else the exponent form ``e-05``/``e-06``; trailing
+  zeros are dropped, and so is a bare ``.``.
+- Every other value (+-0.0, |v| <= 1e-6, |v| >= 1e16, inf and nan) is
+  formatted by ``'%.17g' % v``.
 
 Each cell is laid out in fixed-width words with NUL bytes where its text
 is shorter, and one ``bytearray.translate`` deletes the NULs of a block.
@@ -15,10 +32,17 @@ start-up: its tables and byte-compiling it would otherwise add about
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-# The CLI's writer is the only caller; nothing here is package API.
+# The CLI is the only caller; nothing here is package API.
 __all__: list[str] = []
+
+# The most values formatted at once.  The writer's traced peak is about
+# 200 bytes a value: 0.38 MB on solve-affine (1025 x 13 values), 0.44 MB
+# on section4 k=4 (4097 x 3); 4096 gives no clear gain.
+_BLOCK_VALUES = 2048
 
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 
@@ -86,7 +110,7 @@ _CELL_TEMPLATE = _cell_templates()
 
 
 def _times_scale(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p + e == a * 10^(16-X) exactly, X = x - 6 (Dekker's product)."""
+    """p + e == a * 10^(16-X) exactly, X = x - 6."""
     s, s_hi, s_lo = _SCALES.take(x, axis=1)
     c = _SPLITTER * a
     a_hi = c - (c - a)
@@ -100,45 +124,50 @@ def _times_scale(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rounded_digits(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The 17-digit integer D = a * 10^(16-X) rounded half-even, for X = x - 6
-    within one of a's decimal exponent; x is corrected in place."""
+    """The 17 digits D of each a, as an integer; X = x - 6 is corrected in place."""
     p, e = _times_scale(a, x)
     digits = p.astype(np.int64)
     digits += np.rint(e).astype(np.int64)
-    # D lies in (10^16, 10^17) unless X is off by one or D rounds up to 10^17.
     edge = np.flatnonzero((digits <= 10**16) | (digits >= 10**17))
     if edge.size:
         p, e, xe = p[edge], e[edge], x[edge]
         xe -= (p - 1e16) + e < 0
         xe += (p - 1e17) + e >= 0
         p, e = _times_scale(a[edge], xe)
-        de = p.astype(np.int64) + np.rint(e).astype(np.int64)
-        # No double of the fast range gets here: the largest double below
-        # each power of ten lies 8 or more units of the 17th digit below it.
-        top = de == 10**17
-        de[top] = 10**16
-        xe[top] += 1
-        digits[edge], x[edge] = de, xe
+        digits[edge] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        x[edge] = xe
     return digits
 
 
-def cell_tails(suffixes: list[bytes]) -> np.ndarray:
-    """Words 5.. of each column's cells: the exponent's 4 NULs, then the
-    text that follows the cell in a row."""
-    words = (4 + max(len(s) for s in suffixes) + 7) // 8
-    return np.stack([np.frombuffer((b"\0" * 4 + s).ljust(8 * words, b"\0"), np.uint64) for s in suffixes])
+def write_solution(path: str | Path, t: np.ndarray, x: np.ndarray, d: np.ndarray) -> None:
+    """Write the nodes t, the values x and the derivative trace d, one row a
+    node, as ``%.17g`` text under the header t, x_1.., dtrace_1...
 
-
-def format_rows(block: np.ndarray, tails: np.ndarray) -> bytearray:
-    """The rows of ``block`` as ``%.17g`` text, column j's cells followed by the
-    text of ``tails[j]`` (see ``cell_tails``)."""
-    rows, cols = block.shape
-    buf = bytearray(8 * rows * cols * (5 + tails.shape[1]))
-    cells = np.frombuffer(buf, np.uint64).reshape(rows, cols, -1)
-    cells[:, :, 5:] = tails
-    _write_cells(block.ravel(), cells.reshape(rows * cols, -1))
-    del cells  # buf cannot change size while a view holds it
-    return buf.translate(None, b"\0")
+    A column that holds only +0.0 is the literal ``0`` in each row, the
+    text ``%.17g`` gives it, so only the other columns are formatted; a
+    column with any -0.0 is formatted, since ``%.17g`` writes ``-0``.
+    """
+    header = ",".join(["t"] + [f"{name}_{i + 1}" for name in ("x", "dtrace") for i in range(x.shape[1])])
+    # +0.0 is the one double whose bits are all zero.
+    x_live, d_live = x.view(np.int64).any(axis=0), d.view(np.int64).any(axis=0)
+    row = ",".join("%" if live else "0" for live in [True, *x_live, *d_live]) + "\n"
+    # Words 5.. of each formatted column's cells: the exponent's 4 NULs, then
+    # the text up to the next formatted cell (a separator and zero columns).
+    after = [b"\0" * 4 + s.encode() for s in row.split("%")[1:]]
+    words = (max(map(len, after)) + 7) // 8
+    tails = np.stack([np.frombuffer(s.ljust(8 * words, b"\0"), np.uint64) for s in after])
+    step = max(1, _BLOCK_VALUES // len(after))
+    with Path(path).open("wb") as f:
+        f.write((header + "\n").encode())
+        for j in range(0, t.shape[0], step):
+            rows = slice(j, j + step)
+            block = np.column_stack((t[rows], x[rows, x_live], d[rows, d_live]))
+            buf = bytearray(8 * block.size * (5 + words))
+            cells = np.frombuffer(buf, np.uint64).reshape(block.shape[0], len(after), -1)
+            cells[:, :, 5:] = tails
+            _write_cells(block.ravel(), cells.reshape(block.size, -1))
+            del cells  # buf cannot change size while a view holds it
+            f.write(buf.translate(None, b"\0"))
 
 
 def _write_cells(v: np.ndarray, cells: np.ndarray) -> None:

@@ -12,8 +12,8 @@ from conftest import load_workloads
 import resbvp.problems as problems
 import resbvp.resonance as resonance
 from resbvp import GrowthSpec, Order, ProblemSpec, build_resonance, build_section4, save_matrix_csv, solve
-from resbvp.cli import _write_solution_csv, main, parse_config
-from resbvp.g17 import cell_tails, format_rows
+from resbvp import g17
+from resbvp.cli import main, parse_config
 
 
 def run_cli(args):
@@ -155,12 +155,11 @@ class TestSolveFlow:
         assert outs[0] == outs[1]
 
 
-def _plain_solution_csv(report) -> bytes:
+def _plain_solution_csv(t, x, d) -> bytes:
     """``solution.csv`` with ``%.17g`` applied to every value, row by row."""
-    x, d = report.residuals.samples
     n = x.shape[1]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"dtrace_{i + 1}" for i in range(n)]
-    table = np.column_stack((report.element.source.nodes, x, d))
+    table = np.column_stack((t, x, d))
     lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table]
     return ("\n".join(lines) + "\n").encode()
 
@@ -170,56 +169,75 @@ def _section4_report(k, n):
     return solve(spec, build_resonance(spec))
 
 
+def _solution_arrays(report):
+    """Copies of the nodes, x and the derivative trace that ``solution.csv`` holds."""
+    return [a.copy() for a in (report.element.source.nodes, *report.residuals.samples)]
+
+
+def _affine_report(tmp_path):
+    workloads = load_workloads()
+    workloads.write_affine_inputs(0, tmp_path)
+    spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
+    return solve(spec, build_resonance(spec))
+
+
 class TestSolutionCsv:
     def test_section4_with_zero_columns(self, tmp_path):
-        report = _section4_report(2, 256)
-        x, d = report.residuals.samples
+        t, x, d = _solution_arrays(_section4_report(2, 256))
         assert 0 < np.count_nonzero(~x.any(axis=0)) < x.shape[1]  # the block tails stay zero
-        _write_solution_csv(tmp_path / "s.csv", report)
-        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
+        g17.write_solution(tmp_path / "s.csv", t, x, d)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(t, x, d)
 
     def test_dense_affine(self, tmp_path):
-        workloads = load_workloads()
-        workloads.write_affine_inputs(0, tmp_path)
-        spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
-        report = solve(spec, build_resonance(spec))
-        assert all(s.all() for s in (report.residuals.samples[0][1:], report.residuals.samples[1]))
-        _write_solution_csv(tmp_path / "s.csv", report)
-        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
+        t, x, d = _solution_arrays(_affine_report(tmp_path))
+        assert all(s.all() for s in (x[1:], d))
+        g17.write_solution(tmp_path / "s.csv", t, x, d)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(t, x, d)
+
+    @pytest.mark.parametrize("block", ["one-value", "columns", "columns+1", "7-columns", "one-block"])
+    @pytest.mark.parametrize("problem", ["section4-k2-n64", "dense-affine"])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, problem, block):
+        report = _section4_report(2, 64) if problem == "section4-k2-n64" else _affine_report(tmp_path)
+        t, x, d = _solution_arrays(report)
+        columns = 1 + np.count_nonzero(x.any(axis=0)) + np.count_nonzero(d.any(axis=0))
+        # Below a row (one row a block), one row, a row and a spare value, 7 rows
+        # (a partial last block on 65 and on 1025 rows), and one block.
+        values = {"one-value": 1, "columns": columns, "columns+1": columns + 1, "7-columns": 7 * columns,
+                  "one-block": 10**9}[block]
+        monkeypatch.setattr(g17, "_BLOCK_VALUES", values)
+        g17.write_solution(tmp_path / "s.csv", t, x, d)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(t, x, d)
 
     def test_negative_zero_columns_are_formatted(self, tmp_path):
-        report = _section4_report(2, 64)
-        x, d = (s.copy() for s in report.residuals.samples)
+        t, x, d = _solution_arrays(_section4_report(2, 64))
         x[:, 4] = -0.0
         d[:, 5] = 0.0
         d[::3, 5] = -0.0
-        report = replace(report, residuals=replace(report.residuals, samples=(x, d)))
-        _write_solution_csv(tmp_path / "s.csv", report)
+        g17.write_solution(tmp_path / "s.csv", t, x, d)
         text = (tmp_path / "s.csv").read_bytes()
-        assert text == _plain_solution_csv(report)
+        assert text == _plain_solution_csv(t, x, d)
         assert text.splitlines()[1].split(b",")[5] == b"-0"
 
     def test_writer_holds_a_fraction_of_a_grid_array(self, tmp_path):
-        # The writer stacks 512-row blocks of the columns with data only;
-        # its traced peak is about 0.11 grid arrays at k = 4, N = 65536.
+        # The writer stacks 2048-value blocks of the columns with data only;
+        # its traced peak is about 0.15 grid arrays at k = 4, N = 65536
+        # with g17 loaded.
         n = 65536
         report = _section4_report(4, n)
         tracemalloc.start()
         try:
-            _write_solution_csv(tmp_path / "s.csv", report)
+            g17.write_solution(tmp_path / "s.csv", report.element.source.nodes, *report.residuals.samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * (n + 1) * report.element.coef.shape[0] * 8
 
 
-def _g17_lines(values: np.ndarray) -> list[bytes]:
-    """``format_rows`` over one column of values, one line a value, in 2^14-value calls."""
-    tails = cell_tails([b"\n"])
-    lines = []
-    for j in range(0, values.size, 1 << 14):
-        lines += bytes(format_rows(values[j : j + (1 << 14), None], tails)).split(b"\n")[:-1]
-    return lines
+def _g17_lines(values: np.ndarray, path: Path) -> list[bytes]:
+    """``write_solution`` of values as its one ``t`` column, one line a value."""
+    none = np.empty((values.size, 0))
+    g17.write_solution(path, values, none, none)
+    return path.read_bytes().split(b"\n")[1:-1]
 
 
 def _seventeen_digit_ties(rng, per_exponent):
@@ -240,7 +258,7 @@ def _seventeen_digit_ties(rng, per_exponent):
 
 
 class TestG17Formatter:
-    def test_matches_percent_formatting(self):
+    def test_matches_percent_formatting(self, tmp_path):
         # Over 10^6 values: every binade (the exponent field 0..2046, so the
         # subnormals too) with random mantissas, log-uniform values across
         # the fast range, exact 17-digit ties, and each power of ten from
@@ -264,23 +282,33 @@ class TestG17Formatter:
         assert values.size >= 10**6
         assert ties.size > 50000
         expected = [("%.17g" % v).encode() for v in values.tolist()]
-        got = _g17_lines(values)
+        got = _g17_lines(values, tmp_path / "s.csv")
         assert len(got) == values.size
         wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
         assert not wrong, wrong[:5]
 
+    def test_no_double_rounds_up_to_a_power_of_ten(self):
+        # D never rounds up to 10^17: the largest double below 10^(X+1),
+        # X = -6..15, lies 8 or more units of the 17th digit below it.
+        gaps = []
+        for m in range(-5, 17):
+            power = Fraction(10) ** m
+            below = float(power)
+            if Fraction(below) >= power:
+                below = math.nextafter(below, 0.0)
+            gaps.append(float((power - Fraction(below)) * 10 ** (17 - m)))
+        assert 8.3 < min(gaps) and max(gaps) == 20.0, gaps
+
     def test_fallback_values_in_a_live_column(self, tmp_path):
         # A column with data and values the writer hands to % itself: zeros,
         # |v| <= 1e-6 (subnormals too), |v| >= 1e16; and exponent-form values.
-        report = _section4_report(2, 64)
-        x, d = (s.copy() for s in report.residuals.samples)
+        t, x, d = _solution_arrays(_section4_report(2, 64))
         special = [0.0, -0.0, 1e-7, -3e-9, 5e-324, -2.2250738585072014e-308, 1e-6, 1e16, -2.5e17, 1e300]
         x[1 : 1 + len(special), 0] = special
         exponent_form = [3e-6, -7.5e-5, 9.999999999999999e-05, 1.0000000000000001e-05, -1e-5, 2e-6]
         d[::5, 1] = exponent_form + [1e-4, 0.5, 12.0, -1e15, 123456789.125, 0.00012, 4.0]
-        report = replace(report, residuals=replace(report.residuals, samples=(x, d)))
-        _write_solution_csv(tmp_path / "s.csv", report)
-        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(report)
+        g17.write_solution(tmp_path / "s.csv", t, x, d)
+        assert (tmp_path / "s.csv").read_bytes() == _plain_solution_csv(t, x, d)
 
 
 class TestConfigFiles:
@@ -583,6 +611,8 @@ class TestExitCodes:
             ("[problem]\nalpha = 1.5\nxi = 1.5\n[operator]\ncsv = a.csv\n", 3),
             ("[problem]\nalpha = 1.25\n[operator]\nbuiltin = section4\n", 2),
             ("[problem]\ngrid_n = 64\nxi = 0.5\n[operator]\nbuiltin = section4\n", 3),
+            ("[problem]\nalpha = nan\n[operator]\nbuiltin = section4\n", 2),
+            ("[problem]\ngrid_n = 64\nxi = nan\n[operator]\nbuiltin = section4\n", 3),
             ("[problem]\nalpha = 1.5\nxi = 0.5\n[operator]\ncsv = a.csv\n[rhs]\ng_profile = cube\n", 7),
             ("[problem]\nalpha = 1.5\nxi = 0.5\n[operator]\ncsv = a.csv\n[rhs]\nc_matrix = b.csv\n", 7),
             (
@@ -597,9 +627,9 @@ class TestExitCodes:
             ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 3),
             ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = r.csv\n", 5),
         ],
-        ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "g-profile", "c-shape",
-             "d-shape", "k-non-positive", "grid-below-8", "builtin-xi-off-grid",
-             "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator"],
+        ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "builtin-alpha-nan",
+             "builtin-xi-nan", "g-profile", "c-shape", "d-shape", "k-non-positive", "grid-below-8",
+             "builtin-xi-off-grid", "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator"],
     )
     def test_value_error_exits_three_with_line(self, tmp_path, text, line):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +63,18 @@ def test_every_import_is_used(path):
 def test_unused_import_is_caught():
     source = "from .resonance import boundary_functional, boundary_functional_power\nboundary_functional(1, 2)\n"
     assert _unused_imports(source) == ["boundary_functional_power (line 1)"]
+
+
+def test_cli_start_up_leaves_g17_unloaded():
+    # g17's tables would add about 0.5 MB to every flow's peak RSS; the CLI
+    # imports it when it writes solution.csv.  A fresh interpreter, since
+    # this one has g17 loaded already.
+    src = str(Path(resbvp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, resbvp.cli; print(sorted(m for m in sys.modules if m.startswith('resbvp')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "resbvp.cli" in loaded.stdout
+    assert "resbvp.g17" not in loaded.stdout
 
 
 def _tracing():
