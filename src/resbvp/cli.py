@@ -106,6 +106,14 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}; choose from {_COMMANDS}")
 
 
+_AFFINE_KEYS = {"c_matrix", "d_matrix", "g_profile"}
+_KNOWN_KEYS = {
+    "problem": {"alpha", "xi", "grid_n"},
+    "operator": {"builtin", "k", "csv"},
+    "rhs": {"builtin"} | _AFFINE_KEYS,
+}
+
+
 def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
@@ -116,7 +124,7 @@ def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
-                if current not in ("problem", "operator", "rhs"):
+                if current not in _KNOWN_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
                 sections.setdefault(current, {})
                 continue
@@ -126,6 +134,8 @@ def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ConfigError(f"{path}:{lineno}: key outside of any section")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key not in _KNOWN_KEYS[current]:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
             if key in sections[current]:
                 first = sections[current][key][1]
                 raise ConfigError(
@@ -134,14 +144,6 @@ def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
                 )
             sections[current][key] = (value.strip(), lineno)
     return sections
-
-
-_AFFINE_KEYS = {"c_matrix", "d_matrix", "g_profile"}
-_KNOWN_KEYS = {
-    "problem": {"alpha", "xi", "grid_n"},
-    "operator": {"builtin", "k", "csv"},
-    "rhs": {"builtin"} | _AFFINE_KEYS,
-}
 
 
 def _reject_ignored(path: str, name: str, section: dict, keys: set[str], why: str) -> None:
@@ -168,10 +170,6 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
     """
     sections = _parse_sections(path)
     base = str(Path(path).parent)
-    for sec, keys in sections.items():
-        for key, (_, lineno) in keys.items():
-            if key not in _KNOWN_KEYS[sec]:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{sec}]")
 
     problem = sections.get("problem", {})
     operator = sections.get("operator", {})
@@ -180,21 +178,14 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
     def at(sec: dict, key: str) -> str:
         return f"{path}:{sec[key][1]}:"
 
-    def fval(sec: dict, key: str, default: float | None = None) -> float | None:
+    def value(sec: dict, key: str, kind: type, default: float | None = None) -> float | None:
         if key not in sec:
             return default
         try:
-            return float(sec[key][0])
+            return kind(sec[key][0])
         except ValueError as exc:
-            raise ConfigError(f"{at(sec, key)} {key} must be a number, got {sec[key][0]!r}") from exc
-
-    def ival(sec: dict, key: str, default: int | None = None) -> int | None:
-        if key not in sec:
-            return default
-        try:
-            return int(sec[key][0])
-        except ValueError as exc:
-            raise ConfigError(f"{at(sec, key)} {key} must be an integer, got {sec[key][0]!r}") from exc
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{at(sec, key)} {key} must be {noun}, got {sec[key][0]!r}") from exc
 
     def grid_error(exc: ValueError) -> ConfigError:
         # The default grid_n passes every check, so a grid error points at
@@ -212,11 +203,11 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
         if rhs_sec.get("builtin", (op_builtin, 0))[0] != op_builtin:
             rhs_keys.add("builtin")
         _reject_ignored(path, "rhs", rhs_sec, rhs_keys, why)
-        k = ival(operator, "k", 1)
-        grid_n = ival(problem, "grid_n", 256)
+        k = value(operator, "k", int, 1)
+        grid_n = value(problem, "grid_n", int, 256)
         builtin = BUILTINS[op_builtin]
         for key, fixed in (("alpha", builtin.alpha), ("xi", builtin.xi)):
-            if not abs(fval(problem, key, fixed) - fixed) <= 1e-12:  # nan too
+            if not abs(value(problem, key, float, fixed) - fixed) <= 1e-12:  # nan too
                 raise ConfigError(
                     f"{at(problem, key)} builtin {op_builtin!r} fixes "
                     f"alpha = {builtin.alpha} and xi = {builtin.xi}"
@@ -234,9 +225,9 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
     a_op = load_matrix_csv(Path(base) / operator["csv"][0])
     if a_op.shape[0] != a_op.shape[1]:
         raise ConfigError(f"{at(operator, 'csv')} boundary operator must be square, got shape {a_op.shape}")
-    alpha = fval(problem, "alpha")
-    xi = fval(problem, "xi")
-    grid_n = ival(problem, "grid_n", 256)
+    alpha = value(problem, "alpha", float)
+    xi = value(problem, "xi", float)
+    grid_n = value(problem, "grid_n", int, 256)
     if alpha is None or xi is None:
         raise ConfigError(f"{path}: section [problem] needs alpha and xi for a csv operator")
     if not (1.0 < alpha <= 2.0):
@@ -457,7 +448,7 @@ def run(cfg: RunConfig) -> int:
     except NonResonantError as exc:
         lines += ["", f"error: {exc}"]
         exit_code = 1
-    except (ConfigError, RhsEvaluationError, ValueError, OSError) as exc:
+    except (RhsEvaluationError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         lines += ["", f"error: {exc}"]
         exit_code = 3
     except MemoryError as exc:
@@ -482,35 +473,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="resbvp",
         description="Resonant fractional three-point boundary value problem toolkit",
+        argument_default=argparse.SUPPRESS,  # an option left out takes RunConfig's default
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", dest="config_path", default=None, help="problem file path")
-    parser.add_argument("--builtin", default=None, help="builtin problem name (e.g. section4)")
-    parser.add_argument("--k", type=int, default=None, help="block count for --builtin (default 1)")
-    parser.add_argument("--grid", dest="grid_n", type=int, default=None, help="grid subintervals")
-    parser.add_argument(
-        "--damping", type=float, default=SolveOptions.relax, help="relaxation factor in (0, 1]"
-    )
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolveOptions.max_iter)
-    parser.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
-    parser.add_argument("--out", dest="out_dir", default=".", help="output directory")
+    parser.add_argument("--config", dest="config_path", help="problem file path")
+    parser.add_argument("--builtin", help="builtin problem name (e.g. section4)")
+    parser.add_argument("--k", type=int, help="block count for --builtin (default 1)")
+    parser.add_argument("--grid", dest="grid_n", type=int, help="grid subintervals")
+    parser.add_argument("--damping", type=float, help="relaxation factor in (0, 1]")
+    parser.add_argument("--max-iter", dest="max_iter", type=int)
+    parser.add_argument("--seed", type=int, help="seed of the sampled checks")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse's usage-error exit 2 would read as non-convergence.
         return 3 if exc.code else 0
-    if args.k is None:
-        args.k = 1
-    elif args.config_path and not args.builtin:
+    if "k" in args and args.get("config_path") and not args.get("builtin"):
         # Beside --builtin too, run() reports the two problem sources.
         sys.stderr.write("error: --k applies to --builtin only; a config file sets k in [operator]\n")
         return 3
-    try:
-        cfg = RunConfig(**vars(args))
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    return run(cfg)
+    return run(RunConfig(**args))
 
 
 if __name__ == "__main__":

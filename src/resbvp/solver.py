@@ -62,8 +62,8 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e8
 # Secant step of the kernel-gain probe, relative to max(1, ||coef||).
 _GAIN_STEP = 1e-6
-# The probed gain is inverted only when its smallest singular value
-# exceeds this many ulps of the rhs values per secant step.
+# Rounding level of a row of the probed gain: this many ulps of the rhs values its
+# kernel direction sees, per secant step.
 _GAIN_NOISE_ULPS = 1e3
 # Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element):
 # 21 elements at N = 256, n = 3.  2^14 is the largest power of two that leaves a cold
@@ -232,19 +232,24 @@ def oriented_lift(
     alone, so one I^alpha sweep of x's source (none from a zero source)
     serves all dim_ker: ``evaluate`` samples them as one stack of
     coefficients, and one ``rhs_functionals`` call evaluates them.
-    When the smallest singular value of G does not clear the secant's
-    rounding level (the rhs hardly sees the kernel coordinates), S = I and
-    J itself is returned.
+    Each row of G is judged against the secant's rounding level in its own
+    direction, ``_GAIN_NOISE_ULPS`` ulps of |K^T J kappa (I - R R^+)|
+    (|A| + I) max_t |w| per step, so a direction whose rhs values are small
+    is not judged by the largest component's.  When the smallest singular
+    value of diag(1/noise) G does not exceed 1 (the rhs hardly sees some
+    kernel coordinate), S = I and J itself is returned.
     """
     ker = rdata.kernel
     step = _GAIN_STEP * max(1.0, float(np.linalg.norm(x.coef)))
-    noise = _GAIN_NOISE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))) / step
+    seen = (np.abs(spec.a_op) + np.eye(spec.dim)) @ np.max(np.abs(w.values), axis=0)
+    row_scale = np.abs(ker.T @ rdata.lift @ (rdata.proj_scale * rdata.offrange_proj)) @ seen
+    noise = np.maximum(_GAIN_NOISE_ULPS * np.finfo(float).eps * row_scale / step, np.finfo(float).tiny)
     iv, iy = frac_integral(x.source, spec.ord.alpha).values, cumulative_integral(x.source).values
     coefs = (x.coef + step * ker.T)[:, None]
     h = rhs_functionals(spec, rdata.dim_ker, lambda s: evaluate(iv, iy, coefs[s], spec.ord))
     # h is linear, so the secants difference h values.
     gain = ker.T @ rdata.lift @ rdata.obstruction(h - boundary_functional(w.values, spec)).T / step
-    if np.linalg.svd(gain, compute_uv=False)[-1] <= noise:
+    if np.linalg.svd(gain / noise[:, None], compute_uv=False)[-1] <= 1.0:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)
 
@@ -325,7 +330,6 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     dfs: list[np.ndarray] = []
     history: list[float] = []
     diverged = False
-    settled = False
     while True:
         # Between steps x holds the state's only copy.
         s = _flat(x)
@@ -361,12 +365,7 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
         x = _element(g, dim)
         diverged = _row_norm(g, dim) > _DIVERGENCE_LIMIT
         del g
-        if diverged:
-            break
-        if diff <= opts.tol_fixed_point:
-            settled = True
-            break
-        if len(history) == opts.max_iter:
+        if diverged or diff <= opts.tol_fixed_point or len(history) == opts.max_iter:
             break
         w = apply_rhs(spec, x)
 
@@ -374,7 +373,7 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     del step, f_prev, dgs, dfs
     res = residuals(spec, rdata, x)
     converged = (
-        settled
+        history[-1] <= opts.tol_fixed_point
         and not diverged
         and res.right_bc_defect <= opts.tol_residual
         and res.solvability_defect <= opts.tol_residual

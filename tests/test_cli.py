@@ -454,6 +454,23 @@ class TestExitCodes:
         assert code == 3
         assert "p.cfg:3: duplicate key 'grid_n'" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("[problem]\nbogus = 1\nalpha 1.5\n", 2, "unknown key 'bogus' in section [problem]"),
+            ("[problem]\nbogus = 1\ngrid_n = 64\ngrid_n = 128\n", 2, "unknown key 'bogus' in section [problem]"),
+            ("[operator]\nbuiltin = section4\n[rhs]\nk = 1\n[extra]\n", 4, "unknown key 'k' in section [rhs]"),
+        ],
+        ids=["before-malformed", "before-duplicate", "before-unknown-section"],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, text, line, message):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        assert run_cli(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        errors = [s for s in (out / "report.txt").read_text().splitlines() if s.startswith("error: ")]
+        assert errors == [f"error: {cfg}:{line}: {message}"]
+
     def test_non_finite_matrix_entry_exits_three_with_line(self, tmp_path):
         (tmp_path / "a.csv").write_text("2,2\n1,0\n0,nan\n")
         cfg = tmp_path / "p.cfg"

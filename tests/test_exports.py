@@ -148,17 +148,26 @@ def test_every_traced_function_exists():
 def test_every_command_runs_traced(tmp_path):
     # The benchmark's traced runs wrap every traced function, so a call the
     # wrapper cannot pass through would crash them.  run is called through
-    # its module: the tracer rebinds names inside resbvp only.
+    # its module: the tracer rebinds names inside resbvp only.  As in the
+    # benchmark, each command runs once untraced between prepare and
+    # install, so a module a flow imports is loaded by then, and install
+    # fails on any traced function it binds.
     commands = ("analyze", "solve", "check-hypotheses", "verify-example")
-    tracer = _tracing().Tracer()
-    tracer.prepare()
-    tracer.install()
-    try:
+
+    def run_all():
         codes = []
         for flow, command in enumerate(commands):
             tracer.flow = flow
             cfg = RunConfig(command=command, builtin="section4", grid_n=64, out_dir=str(tmp_path / command))
             codes.append(resbvp.cli.run(cfg))
+        return codes
+
+    tracer = _tracing().Tracer()
+    tracer.prepare()
+    assert run_all() == [0] * len(commands)
+    tracer.install()
+    try:
+        codes = run_all()
     finally:
         tracer.uninstall()
     assert codes == [0] * len(commands)

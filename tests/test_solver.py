@@ -424,6 +424,46 @@ class TestOrientedLift:
             assert report.converged, v
             assert np.max(np.abs(table(report.element) - expected) / scale) <= 1e-8, v
 
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_kernel_starts_converge_as_blocks_are_added(self, k):
+        # Block b's kernel direction sees rhs values of about 8^-b, so G's
+        # singular values fall 8x per block (2.7e-8 at k = 8); each
+        # direction is judged by its own rounding level, and G is inverted.
+        spec = build_section4(k, 1024)
+        rdata = build_resonance(spec)
+        for z0 in (0.5, 2.0):
+            start = DomainElement(rdata.kernel @ np.full(rdata.dim_ker, z0), GridFn.zeros(1024, spec.dim))
+            report = solve(spec, rdata, SolveOptions(max_iter=400, initial=start))
+            assert report.converged and report.iterations <= 20, (z0, report.iterations)
+
+    def test_forced_kernel_directions_do_not_depend_on_block_count(self):
+        # sqrt(t) 2^-i on component i forces every kernel direction, so the
+        # tail blocks are live; block 1 does not see them.
+        def forced_block(k):
+            spec = build_section4(k, 1024)
+            base, weights = spec.rhs, 2.0 ** -np.arange(spec.dim)
+            spec = dataclasses.replace(spec, rhs=lambda t, u, v: base(t, u, v) + np.sqrt(t)[:, None] * weights)
+            report = solve(spec, build_resonance(spec), SolveOptions(tol_fixed_point=1e-13))
+            assert report.converged, k
+            return np.column_stack([s[:, :3] for s in report.residuals.samples])
+
+        first = forced_block(4)
+        for k in (8, 16):
+            np.testing.assert_allclose(forced_block(k), first, rtol=0.0, atol=1e-12, err_msg=f"k = {k}")
+
+    def test_zero_gain_keeps_lift(self):
+        # R = I - xi^(alpha-1) A = [[0, 1], [0, 0]] exactly (xi^(1/2) = 1/2):
+        # the kernel e1 is orthogonal to the cokernel e2, and f's second
+        # component does not read the kernel coordinate, so G = 0.
+        spec = ProblemSpec(
+            Order(1.5), 0.25, np.array([[2.0, -2.0], [0.0, 2.0]]), lambda t, u, v: 0.5 * v + [0.2, 0.1], 64
+        )
+        rdata = build_resonance(spec)
+        zero = DomainElement.zero(64, 2)
+        gain, lift = oriented_lift(spec, rdata, zero, apply_rhs(spec, zero))
+        assert not gain.any()
+        assert lift is rdata.lift
+
 
 class TestResiduals:
     def test_exact_kernel_element_zero_rhs(self, sec4_rdata):
