@@ -56,15 +56,22 @@ class GrowthSpec:
         return self.lin_u * nu + self.lin_v * nv + self.offset
 
 
-def _random_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """m uniform random unit vectors in R^n, one per row; a zero row is drawn again."""
-    d = rng.standard_normal((m, n))
+def _unit_rows(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
+    """The rows of the (m, n) standard normal draw d scaled to unit length.
+
+    A zero row is first drawn again from rng, in place, until none is left.
+    """
     # Dot-product row norms are bit-equal to np.linalg.norm per row; axis=1 is not.
     norms = np.sqrt(np.vecdot(d, d))
     while (zero := norms == 0.0).any():
-        d[zero] = rng.standard_normal((np.count_nonzero(zero), n))
+        d[zero] = rng.standard_normal((np.count_nonzero(zero), d.shape[1]))
         norms[zero] = np.sqrt(np.vecdot(d[zero], d[zero]))
     return d / norms[:, None]
+
+
+def _random_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m uniform random unit vectors in R^n, one per row; a zero row is drawn again."""
+    return _unit_rows(rng, rng.standard_normal((m, n)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,9 @@ def probe_large_trace_defect(
     || (I - R R^+) h(N x) || and report the extremes.
 
     Each sample draws a quadratic source y (O(1) coefficients), a uniform
-    number and a direction.  I^alpha y and int_0^t y are sums of powers,
+    number and a raw normal direction; all directions are scaled to unit
+    length at once after the loop (``_unit_rows``, which draws a zero row
+    again there).  I^alpha y and int_0^t y are sums of powers,
     sampled exactly, and ``evaluate`` forms x and its trace from them; a
     || Gamma(alpha) coef || above trace_level + max_t || int_0^t y || keeps
     the trace above the level.  h(N x) comes from ``rhs_functionals``.
@@ -221,7 +230,8 @@ def probe_large_trace_defect(
     n, alpha, ga = spec.dim, spec.ord.alpha, gamma(spec.ord.alpha)
     coefs, ups, dirs = np.empty((sample_count, 3, n)), np.empty(sample_count), np.empty((sample_count, n))
     for i in range(sample_count):
-        coefs[i], ups[i], dirs[i] = rng.standard_normal((3, n)), rng.uniform(), _random_directions(rng, 1, n)[0]
+        coefs[i], ups[i], dirs[i] = rng.standard_normal((3, n)), rng.uniform(), rng.standard_normal(n)
+    dirs = _unit_rows(rng, dirs)
     t = np.linspace(0.0, 1.0, spec.grid_n + 1)[:, None]
     # I^alpha t^k = power_rule(k, alpha) t^(k+alpha) and int_0^t s^(k-1) ds = t^k / k.
     rules = np.array([power_rule(k, alpha) for k in range(3)])
@@ -268,9 +278,12 @@ def probe_kernel_sign(
     """Sample e in ker R with ||e|| > kernel_level, form x = e t^(alpha-1),
     and record <e, J Q N x> extremes.
 
-    Norms are log-uniform in [kernel_level, 100 * kernel_level).  x and its
-    trace Gamma(alpha) e are sampled by ``evaluate`` as one stack over a
-    zero source.
+    Each sample draws a raw normal kernel coordinate z and a norm,
+    log-uniform in [kernel_level, 100 * kernel_level); the z are scaled to
+    unit length at once after the loop (``_unit_rows``, which draws a zero
+    row again there), and e = K z * norm is one matvec per sample.  x and
+    its trace Gamma(alpha) e are sampled by ``evaluate`` as one stack over
+    a zero source.
     """
     if not (np.isfinite(kernel_level) and kernel_level > 0):
         raise ValueError(f"kernel_level must be finite and positive, got {kernel_level}")
@@ -279,10 +292,12 @@ def probe_kernel_sign(
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
+    zs, scales = np.empty((sample_count, rdata.dim_ker)), np.empty(sample_count)
+    for i in range(sample_count):
+        zs[i], scales[i] = rng.standard_normal(rdata.dim_ker), kernel_level * 10.0 ** rng.uniform(0.0, 2.0)
     es = np.empty((sample_count, spec.dim))
-    for e in es:
-        z = _random_directions(rng, 1, rdata.dim_ker)[0]
-        e[:] = rdata.kernel @ z * (kernel_level * 10.0 ** rng.uniform(0.0, 2.0))
+    for e, z, scale in zip(es, _unit_rows(rng, zs), scales):
+        e[:] = rdata.kernel @ z * scale
     zero = np.zeros((spec.grid_n + 1, spec.dim))
     h = rhs_functionals(spec, sample_count, lambda s: evaluate(zero, zero, es[s, None], spec.ord))
     inner = np.vecdot(es, rdata.obstruction(h) @ rdata.lift.T)

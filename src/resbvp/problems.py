@@ -55,16 +55,18 @@ _RECIPROCAL_GUARD = 1e-12
 
 
 def _section4_rhs(n: int) -> RhsCallback:
-    inv_scales = np.array([1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, n)])
+    # Scale 0 stands in for the switched first component, which is written last.
+    scales = np.array([0.0] + [1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, n)])
 
     def rhs(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         v1 = v[:, 0]
         rec = np.divide(1.0, v1, out=np.zeros_like(v1), where=np.abs(v1) > _RECIPROCAL_GUARD)
-        f = np.empty(u.shape)
+        # Whole (m, n) arrays: a slice such as u[:, 1:] makes numpy loop over short rows.
+        f = u + v
+        f *= scales
         # Row norms as dot products, bit-equal to np.linalg.norm of one row,
         # so a row at ||v|| = 1 takes the branch the per-point norm gives it.
         f[:, 0] = np.where(np.sqrt(np.vecdot(v, v)) < 1.0, 0.1, (v1 + rec - 1.0) / 10.0)
-        f[:, 1:] = (u[:, 1:] + v[:, 1:]) * inv_scales
         return f
 
     return rhs

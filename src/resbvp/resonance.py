@@ -340,9 +340,23 @@ def evaluate(iv: np.ndarray, iy: np.ndarray, coef: np.ndarray, ord: Order) -> tu
     iv = I^alpha y and iy = int_0^t y are (N+1, n) node samples, or stacks
     (m, N+1, n) of one source per element.  coef is one (n,) vector or a
     stack (m, 1, n); the samples broadcast to (N+1, n) or (m, N+1, n).
+
+    Both are fresh C-contiguous arrays, and each entry is one multiply and
+    one add, bit-equal to t[:, None] ** (alpha-1) * coef + iv and
+    Gamma(alpha) coef + iy.  x takes one component per multiply, so those
+    loops run along the grid, not along the short component axis; the
+    trace's coefficient rows are copied into place and iy is added over
+    the whole array, which per-component adds would slow at n = 12.
     """
-    t = np.linspace(0.0, 1.0, iv.shape[-2])
-    return t[:, None] ** ord.alpha_m1 * coef + iv, gamma(ord.alpha) * coef + iy
+    powers = np.linspace(0.0, 1.0, iv.shape[-2]) ** ord.alpha_m1
+    shape = np.broadcast_shapes(iv.shape, coef.shape)
+    x, trace = np.empty(shape), np.empty(shape)
+    for i in range(shape[-1]):
+        np.multiply(powers, coef[..., i], out=x[..., i])
+    x += iv
+    trace[...] = gamma(ord.alpha) * coef
+    trace += iy
+    return x, trace
 
 
 @dataclass(frozen=True)

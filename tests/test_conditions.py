@@ -24,6 +24,7 @@ from resbvp import (
     check_growth_margins,
     cumulative_integral,
     eval_rhs,
+    evaluate,
     gamma,
     oriented_lift,
     probe_kernel_sign,
@@ -33,6 +34,7 @@ from resbvp import (
 )
 from resbvp import solver
 from resbvp.conditions import _random_directions
+from resbvp.fracops import power_rule
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -430,6 +432,56 @@ class TestBatchedProbes:
             w = apply_rhs(spec, DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim)))
             inners.append(float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w.values, spec)))))
         assert (probe.min_inner, probe.max_inner) == (min(inners), max(inners))
+
+    @pytest.mark.parametrize("cap", [None, 10**9], ids=["default", "all-elements"])
+    def test_trace_probe_equals_per_sample_reference(self, monkeypatch, cap):
+        # One element at a time, each drawing its direction as it goes: the
+        # probe's draws and figures do not depend on batching or chunking.
+        if cap is not None:
+            monkeypatch.setattr(solver, "_RHS_CHUNK_VALUES", cap)
+        spec = build_section4(2, 1024)
+        rdata = build_resonance(spec)
+        probe = probe_large_trace_defect(spec, rdata, 1.0, 40, seed=3)
+        alpha, ga = spec.ord.alpha, gamma(spec.ord.alpha)
+        t = np.linspace(0.0, 1.0, spec.grid_n + 1)
+        rules = np.array([power_rule(k, alpha) for k in range(3)])
+        source_powers = rules * t[:, None] ** (alpha + np.arange(3))
+        integral_powers = t[:, None] ** np.arange(1, 4) / np.arange(1, 4)
+        rng = np.random.default_rng(3)
+        defects = []
+        for _ in range(40):
+            coefs, up = rng.standard_normal((3, spec.dim)), rng.uniform()
+            direction = _random_directions(rng, 1, spec.dim)[0]
+            integral = integral_powers @ coefs
+            margin = np.sqrt(np.vecdot(integral, integral)).max()
+            c = (1.0 + margin + 1.0) / ga * (1.0 + up) * direction
+            w = eval_rhs(spec, t, *evaluate(source_powers @ coefs, integral, c, spec.ord))
+            defects.append(float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec))))
+        assert (probe.min_defect, probe.max_defect) == (min(defects), max(defects))
+
+    @pytest.mark.parametrize("probe", [probe_large_trace_defect, probe_kernel_sign])
+    def test_zero_direction_is_drawn_again(self, monkeypatch, sec4_spec, sec4_rdata, probe):
+        # The first direction drawn is zero; it is drawn again, as one row, after the loop.
+        size = sec4_spec.dim if probe is probe_large_trace_defect else sec4_rdata.dim_ker
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class FirstDirectionZero:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args):
+                return self.rng.uniform(*args)
+
+            def standard_normal(self, shape):
+                sizes.append(shape)
+                d = self.rng.standard_normal(shape)
+                return np.zeros(shape) if sizes.count(size) == 1 and shape == size else d
+
+        monkeypatch.setattr(np.random, "default_rng", FirstDirectionZero)
+        figures = dataclasses.astuple(probe(sec4_spec, sec4_rdata, 1.0, 5, seed=1))
+        assert sizes.count(size) == 5 and sizes[-1] == (1, size)
+        assert np.isfinite(figures).all()
 
     def test_trace_probe_is_the_quadrature_path_without_its_error(self):
         # The exact power path removes the quadrature's O(h^2) error: the

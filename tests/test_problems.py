@@ -61,36 +61,46 @@ class TestBuildSection4:
         assert f[0] == pytest.approx((2.0 + 0.5 - 1.0) / 10.0)
 
     def test_batched_rhs_equals_row_by_row_reference(self):
-        # The per-point form of the section4 rhs, applied one row at a time.
-        inv_scales = np.array([1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, 6)])
+        # The per-point form of the section4 rhs, applied one row at a time,
+        # compared bit for bit (-0.0 and 0.0 are told apart) at n = 1 to 12.
+        guard = problems._RECIPROCAL_GUARD
 
         def reference(u, v):
-            f = np.empty(6)
+            f = np.empty(u.size)
             if np.linalg.norm(v) < 1.0:
                 f[0] = 0.1
             else:
-                rec = 1.0 / v[0] if abs(v[0]) > 1e-12 else 0.0
+                rec = 1.0 / v[0] if abs(v[0]) > guard else 0.0
                 f[0] = (v[0] + rec - 1.0) / 10.0
-            f[1:] = (u[1:] + v[1:]) * inv_scales
+            f[1:] = (u[1:] + v[1:]) * np.array([1.0 / (5.0 * 2.0 ** (i + 1)) for i in range(1, u.size)])
             return f
 
         rng = np.random.default_rng(4)
-        rows = []
-        for v1 in (0.0, 1e-13, -1e-13, 1e-11, -1e-11):
-            for a in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
-                rows.append([v1, a, 0.0, 0.0, 0.0, 0.0])
-            # Random direction in the tail, scaled to norm 1 up to rounding.
-            d = rng.standard_normal(5)
-            rows.append([v1, *(d / np.linalg.norm(d))])
-        v = np.array(rows)
-        u = rng.standard_normal(v.shape)
-        t = rng.uniform(size=v.shape[0])
-        f = build_section4(2, 64).rhs(t, u, v)
-        expected = np.array([reference(u[j], v[j]) for j in range(v.shape[0])])
-        np.testing.assert_array_equal(f, expected)
-        # Both branches and both reciprocal cases are exercised.
-        assert (f[:, 0] == 0.1).any() and (f[:, 0] != 0.1).any()
-        assert (np.abs(f[:, 0]) > 1e9).any()
+        for n in (1, 2, 3, 6, 12):
+            pad = [0.0] * (n - 1)
+            rows = [[s * a, *pad] for s in (1.0, -1.0) for a in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))]
+            negative_zero = len(rows)
+            rows.append([-0.0] * n)
+            for v1 in (0.0, -0.0, guard, -guard, 1e-13, -1e-13, 1e-11, -1e-11):
+                rows.append([v1, *pad])
+                if n > 1:
+                    for a in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
+                        rows.append([v1, a, *pad[1:]])
+                    # Random direction in the tail, scaled to norm 1 up to rounding.
+                    d = rng.standard_normal(n - 1)
+                    rows.append([v1, *(d / np.linalg.norm(d))])
+            v = np.array(rows)
+            u = rng.standard_normal(v.shape)
+            u[negative_zero] = -0.0  # with v's row of -0.0, every tail entry is -0.0
+            t = rng.uniform(size=v.shape[0])
+            f = problems._section4_rhs(n)(t, u, v)
+            expected = np.array([reference(u[j], v[j]) for j in range(v.shape[0])])
+            assert f.shape == expected.shape
+            np.testing.assert_array_equal(f.view(np.int64), expected.view(np.int64), err_msg=f"n = {n}")
+            assert not np.shares_memory(f, u) and not np.shares_memory(f, v)
+            # Both branches are exercised, and a reciprocal above the guard where ||v|| >= 1.
+            assert (f[:, 0] == 0.1).any() and (f[:, 0] != 0.1).any()
+            assert n == 1 or (np.abs(f[:, 0]) > 1e9).any()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

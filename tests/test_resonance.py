@@ -407,6 +407,29 @@ class TestEvaluate:
             np.testing.assert_array_equal(v, tv)
         assert not seen
 
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("family", ["one-coefficient", "shared-source", "stacked-sources"])
+    def test_outputs_are_the_formula_in_fresh_arrays(self, family, n):
+        # The three callers' shapes: apply_rhs and residuals, the kernel
+        # secants and kernel probe, the trace probe.  Bit for bit, so a
+        # -0.0 (t = 0 times a negative coefficient, plus a -0.0 sample) is kept.
+        ord, rows, m = Order(1.5), 65, 4
+        rng = np.random.default_rng(23)
+        iv, iy = rng.standard_normal((2, m, rows, n) if family == "stacked-sources" else (2, rows, n))
+        iv[..., 0, :] = iy[..., 0, :] = -0.0
+        coef = rng.standard_normal(n if family == "one-coefficient" else (m, 1, n))
+        coef[..., 0] = -np.abs(coef[..., 0])
+        coef[..., 1] = -0.0
+        t = np.linspace(0.0, 1.0, rows)
+        expected = (t[:, None] ** ord.alpha_m1 * coef + iv, gamma(ord.alpha) * coef + iy)
+        out = evaluate(iv, iy, coef, ord)
+        for got, want in zip(out, expected):
+            assert got.shape == want.shape and got.flags.c_contiguous and got.flags.writeable
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert not any(np.shares_memory(got, a) for a in (iv, iy, coef))
+        assert np.signbit(out[0][..., 0, :2]).all()
+        assert not np.shares_memory(*out)
+
 
 class TestVerifyStructure:
     def test_section4_residuals(self, sec4_spec, sec4_rdata):
