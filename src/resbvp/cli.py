@@ -411,7 +411,7 @@ def run(cfg: RunConfig) -> int:
         ]
         rdata = build_resonance(spec)
         lines += _resonance_lines(rdata)
-        margins = check_growth_margins(spec.ord, rdata, growth)
+        margins = check_growth_margins(spec.ord, growth)
         lines += _margins_lines(margins)
         if not margins.ok and cfg.command in ("check-hypotheses", "verify-example"):
             exit_code = 1

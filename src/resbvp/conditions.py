@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracops import Order, gamma, power_rule
-from .linops import operator_norm
 from .resonance import ProblemSpec, ResonanceData, evaluate
 from .solver import eval_rhs, rhs_functionals
 
@@ -57,7 +56,7 @@ class GrowthSpec:
 
 
 def _unit_rows(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
-    """The rows of the (m, n) standard normal draw d scaled to unit length.
+    """The rows of the (m, n) standard normal draw d scaled to unit length; every sampler's normalizer.
 
     A zero row is first drawn again from rng, in place, until none is left.
     """
@@ -67,11 +66,6 @@ def _unit_rows(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
         d[zero] = rng.standard_normal((np.count_nonzero(zero), d.shape[1]))
         norms[zero] = np.sqrt(np.vecdot(d[zero], d[zero]))
     return d / norms[:, None]
-
-
-def _random_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """m uniform random unit vectors in R^n, one per row; a zero row is drawn again."""
-    return _unit_rows(rng, rng.standard_normal((m, n)))
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,8 @@ def check_growth_bound(
     rng = np.random.default_rng(seed)
     m, n = sample_count, spec.dim
     t = rng.uniform(size=m)
-    u = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _random_directions(rng, m, n)
-    v = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _random_directions(rng, m, n)
+    u = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _unit_rows(rng, rng.standard_normal((m, n)))
+    v = 10.0 ** rng.uniform(-3, 3, (m, 1)) * _unit_rows(rng, rng.standard_normal((m, n)))
     f = eval_rhs(spec, t, u, v)
     envelope = growth.envelope(np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(v, v)))
     slack = envelope - np.sqrt(np.vecdot(f, f))
@@ -129,16 +123,17 @@ def check_growth_bound(
 class MarginsReport:
     """Closed-form smallness margins of the linear growth coefficients.
 
-    The scheme's a-priori bound needs
+    The scheme's a-priori bound needs, with ||I - R^+ R|| + 1 = 2 (at resonance
+    I - R^+ R is the orthogonal projector onto ker R != {0}, so its norm is 1),
 
-        Gamma(alpha) > (||I - R^+ R|| + 1) * ||lin_u||_L1      (margin_u)
-        Gamma(alpha) > (||I - R^+ R|| + 1) * ||lin_v||_L1      (margin_v)
+        Gamma(alpha) > 2 * ||lin_u||_L1      (margin_u)
+        Gamma(alpha) > 2 * ||lin_v||_L1      (margin_v)
 
     and the product quotient
 
-        (||I-R^+R||+1)^2 ||lin_u|| ||lin_v||
-        ------------------------------------------------ < 1.
-        (Gamma(a) - (..)||lin_u||)(Gamma(a) - (..)||lin_v||)
+              4 ||lin_u|| ||lin_v||
+        ---------------------------------------------- < 1.
+        (Gamma(a) - 2||lin_u||)(Gamma(a) - 2||lin_v||)
 
     In ``apriori_bound``'s terms, lam2 = rhs_v / (lhs - rhs_u) and
     mu1 = rhs_u / (lhs - rhs_v), so ``quotient`` = lam2 * mu1 and ``ok``
@@ -155,15 +150,14 @@ class MarginsReport:
         return self.lhs > self.rhs_u and self.lhs > self.rhs_v and self.quotient < 1.0
 
 
-def check_growth_margins(ord: Order, rdata: ResonanceData, growth: GrowthSpec) -> MarginsReport:
-    """Pure arithmetic on Gamma(alpha), ||I - R^+ R|| and lin_u, lin_v.
+def check_growth_margins(ord: Order, growth: GrowthSpec) -> MarginsReport:
+    """Pure arithmetic on Gamma(alpha) and 2 lin_u, 2 lin_v; 2 is ||I - R^+ R|| + 1 at resonance.
 
     The coefficients are constant on [0, 1], so each is its own L1 norm.
     """
     lhs = gamma(ord.alpha)
-    knorm = operator_norm(rdata.kernel_proj) + 1.0
-    rhs_u = knorm * growth.lin_u
-    rhs_v = knorm * growth.lin_v
+    rhs_u = 2.0 * growth.lin_u
+    rhs_v = 2.0 * growth.lin_v
     denom = (lhs - rhs_u) * (lhs - rhs_v)
     quotient = float("inf") if denom <= 0 else (rhs_u * rhs_v) / denom
     return MarginsReport(lhs=lhs, rhs_u=rhs_u, rhs_v=rhs_v, quotient=quotient)
@@ -177,9 +171,9 @@ def apriori_bound(lam: tuple[float, float, float], mu: tuple[float, float, float
 
     bounded iff lam2 * mu1 < 1, with the bound in closed form:
     z1 = (lam1 + lam3 + lam2 (mu2 + mu3)) / (1 - lam2 mu1) and
-    z2 = mu1 z1 + mu2 + mu3.  The margins give lam2 = rhs_v / (lhs - rhs_u)
-    and mu1 = rhs_u / (lhs - rhs_v), so lam2 * mu1 is
-    ``MarginsReport.quotient`` and ``margins satisfied`` certifies the bound.
+    z2 = mu1 z1 + mu2 + mu3.  The margins give lam2 = rhs_v / (lhs - rhs_u) and
+    mu1 = rhs_u / (lhs - rhs_v) with rhs = 2 lin (the orthogonal kernel projector has norm 1),
+    so lam2 * mu1 is ``MarginsReport.quotient`` and ``margins satisfied`` certifies the bound.
     """
     l1, l2, l3 = lam
     m1, m2, m3 = mu

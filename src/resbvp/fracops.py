@@ -180,15 +180,6 @@ class PowerFn:
         return np.outer(t**self.exponent, self.coef)
 
 
-def _binomial_power_series(p: float, m: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """m^p * sum_k coef[k] m^(-k), by Horner's rule in 1/m."""
-    z = 1.0 / m
-    s = np.full(m.shape, coef[-1])
-    for c in coef[-2::-1]:
-        s = s * z + c
-    return m**p * s
-
-
 def _trapezoid_weights(a: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights b_m and w0_m of ``_product_trapezoid_weights`` at integers m >= 0.
 
@@ -197,8 +188,9 @@ def _trapezoid_weights(a: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         b_m  = 2 m^p sum_{k>=1} C(p, 2k) m^(-2k),
         w0_m = m^p sum_{k>=2} (-1)^k C(p, k) m^(-k),
     so no difference of nearly equal powers is formed; the direct forms
-    lose about m^2 of relative precision.  b_1 = 2 expm1(a ln 2) and
-    w0_1 = a are closed forms.
+    lose about m^2 of relative precision.  Each series is summed by
+    Horner's rule in 1/m, ``np.polyval`` of its coefficients highest
+    power first.  b_1 = 2 expm1(a ln 2) and w0_1 = a are closed forms.
     """
     p = a + 1.0
     m = np.asarray(m, dtype=float)
@@ -211,8 +203,9 @@ def _trapezoid_weights(a: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     for sel, terms in (((m >= 2) & (m < 16), 64), (m >= 16, 16)):
         k = np.arange(terms + 1)
         binom = np.cumprod(np.concatenate(([1.0], (p - k[:-1]) / k[1:])))
-        b[sel] = _binomial_power_series(p, m[sel], np.where((k % 2 == 0) & (k > 0), 2.0 * binom, 0.0))
-        w0[sel] = _binomial_power_series(p, m[sel], np.where(k >= 2, (-1.0) ** k * binom, 0.0))
+        mp, z = m[sel] ** p, 1.0 / m[sel]
+        b[sel] = mp * np.polyval(np.where((k % 2 == 0) & (k > 0), 2.0 * binom, 0.0)[::-1], z)
+        w0[sel] = mp * np.polyval(np.where(k >= 2, (-1.0) ** k * binom, 0.0)[::-1], z)
     return b, w0
 
 

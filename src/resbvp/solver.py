@@ -75,6 +75,8 @@ _RHS_CHUNK_VALUES = 16384
 _MIX_DEPTH = 4
 # The mixing fit is refused when its Gram matrix's condition number exceeds this.
 _MIX_COND = 1e12
+# ``_dot``'s chunk: OpenBLAS 0.3.31 splits a ddot above 10000 values across threads, in another order.
+_DOT_CHUNK = 8192
 
 
 class RhsEvaluationError(RuntimeError):
@@ -272,17 +274,25 @@ def _row_norm(s: np.ndarray, dim: int) -> float:
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as np.dot on ``_DOT_CHUNK``-value chunks summed in order: the same bits at any thread count."""
+    total = float(np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK]))
+    for lo in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += float(np.dot(a[lo : lo + _DOT_CHUNK], b[lo : lo + _DOT_CHUNK]))
+    return total
+
+
 def _mixing_coefficients(dfs: list[np.ndarray], f: np.ndarray) -> np.ndarray | None:
     """gamma minimizing ||f - sum_i gamma_i dfs[i]||_2, or None when ill-conditioned.
 
-    The fit is solved through its m x m Gram matrix, one dot product per
+    The fit is solved through its m x m Gram matrix, one ``_dot`` per
     entry, so the history is never stacked into one array.
     """
-    gram = np.array([[np.dot(a, b) for b in dfs] for a in dfs])
+    gram = np.array([[_dot(a, b) for b in dfs] for a in dfs])
     sv = np.linalg.svd(gram, compute_uv=False)
     if not sv[-1] > sv[0] / _MIX_COND:
         return None
-    return np.linalg.solve(gram, np.array([np.dot(a, f) for a in dfs]))
+    return np.linalg.solve(gram, np.array([_dot(a, f) for a in dfs]))
 
 
 def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -341,7 +351,7 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
         g[dim:] += relax * phi.source.values.ravel()
         del phi
         f = g - s
-        f_norm = float(np.linalg.norm(f))
+        f_norm = math.sqrt(_dot(f, f))
         if step is not None:
             np.subtract(f, f_prev, out=f_prev)
             step += f_prev

@@ -280,10 +280,9 @@ def test_c06c_boundary_functional_first_component_recorded_value(sec4_4096):
     )
 
 
-def test_c07_condition_margins(sec4_256):
+def test_c07_condition_margins():
     t0 = time.perf_counter()
-    _, rdata = sec4_256
-    m = check_growth_margins(Order(1.5), rdata, section4_growth())
+    m = check_growth_margins(Order(1.5), section4_growth())
     ok = (
         abs(m.lhs - 0.886227) <= 1e-6
         and abs(m.rhs_u - 0.230940) <= 1e-6

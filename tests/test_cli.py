@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -217,6 +219,23 @@ class TestSolutionCsv:
         text = (tmp_path / "s.csv").read_bytes()
         assert text == _plain_solution_csv(t, x, d)
         assert text.splitlines()[1].split(b",")[5] == b"-0"
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # At N = 16384 the affine solve's state holds 98316 values; OpenBLAS
+        # splits a dot product that long across threads, in another order.
+        workloads = load_workloads()
+        workloads.write_affine_inputs(0, tmp_path)
+        src = str(Path(g17.__file__).parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            cmd = [sys.executable, "-m", "resbvp", "solve", "--config", str(tmp_path / workloads.AFFINE_CONFIG),
+                   "--grid", "16384", "--max-iter", "400", "--out", str(out)]
+            subprocess.run(cmd, env=env, capture_output=True, check=True)
+            outputs.append((out / "solution.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_writer_holds_a_fraction_of_a_grid_array(self, tmp_path):
         # The writer stacks 2048-value blocks of the columns with data only;

@@ -33,7 +33,8 @@ from resbvp import (
     verify_structure,
 )
 from resbvp import solver
-from resbvp.conditions import _random_directions
+from resbvp.conditions import _unit_rows
+from resbvp.linops import operator_norm
 from resbvp.fracops import power_rule
 
 SQRT_PI = math.sqrt(math.pi)
@@ -59,8 +60,8 @@ class TestGrowthSpec:
 
 
 class TestGrowthMargins:
-    def test_section4_golden_numbers(self, sec4_rdata):
-        m = check_growth_margins(Order(1.5), sec4_rdata, section4_growth())
+    def test_section4_golden_numbers(self):
+        m = check_growth_margins(Order(1.5), section4_growth())
         assert m.lhs == pytest.approx(0.886227, abs=1e-6)
         assert m.rhs_u == pytest.approx(0.230940, abs=1e-6)
         assert m.rhs_v == pytest.approx(0.230940, abs=1e-6)
@@ -72,39 +73,34 @@ class TestGrowthMargins:
         assert m.quotient < 1.0
         assert m.ok
 
-    def test_zero_growth_trivially_ok(self, sec4_rdata):
-        m = check_growth_margins(Order(1.5), sec4_rdata, GrowthSpec(0.0, 0.0))
+    def test_zero_growth_trivially_ok(self):
+        m = check_growth_margins(Order(1.5), GrowthSpec(0.0, 0.0))
         assert m.rhs_u == 0.0 and m.rhs_v == 0.0
         assert m.quotient == 0.0
         assert m.ok
 
-    def test_boundary_case_fails_strict_inequality(self, sec4_rdata):
-        # || lin_u ||_L1 = gamma(alpha): lhs > rhs fails (knorm + 1 >= 2
+    def test_boundary_case_fails_strict_inequality(self):
+        # || lin_u ||_L1 = gamma(alpha): lhs > rhs fails (the factor 2
         # multiplies it past gamma(alpha)).
         g = GrowthSpec(gamma(1.5), 0.0)
-        m = check_growth_margins(Order(1.5), sec4_rdata, g)
+        m = check_growth_margins(Order(1.5), g)
         assert not m.ok
 
-    def test_block_permutation_invariance(self):
-        # Permuting blocks of the operator leaves every margin quantity
-        # unchanged (they only see norms).
-        rd1 = build_resonance(build_section4(2, 64))
-        g = section4_growth()
-        m1 = check_growth_margins(Order(1.5), rd1, g)
-        perm = np.arange(6)[::-1]
-        a_perm = rd1.matrix[np.ix_(perm, perm)]
-        spec = ProblemSpec(
-            Order(1.5), 0.25, 2.0 * (np.eye(6) - a_perm), lambda t, u, v: np.zeros_like(u), 64
-        )
-        m2 = check_growth_margins(Order(1.5), build_resonance(spec), g)
-        assert m1.lhs == m2.lhs
-        assert m1.rhs_u == pytest.approx(m2.rhs_u, rel=1e-12)
-        assert m1.quotient == pytest.approx(m2.quotient, rel=1e-12)
+    def test_kernel_projector_norm_is_one(self):
+        # The margins' factor ||I - R^+ R|| + 1 is 2: at resonance I - R^+ R
+        # is the orthogonal projector onto a nonzero kernel.  Five random
+        # operators per size n <= 12 and kernel dimension, kernel and cokernel
+        # in general position (not EP).
+        rng = np.random.default_rng(0)
+        for n in range(1, 13):
+            for dim_ker in range(1, n + 1):
+                for _ in range(5):
+                    proj = build_resonance(make_resonant_spec(rng, n, dim_ker)).kernel_proj
+                    assert abs(operator_norm(proj) - 1.0) <= n * np.finfo(float).eps, (n, dim_ker)
 
 
-# alpha in (1, 2] puts lhs = Gamma(alpha) in [0.886, 1]; section4's
-# ||I - R^+ R|| + 1 = 2 puts rhs_u, rhs_v on both sides of it.
-_SEC4_RDATA = build_resonance(build_section4(1, 64))
+# alpha in (1, 2] puts lhs = Gamma(alpha) in [0.886, 1]; the factor 2 puts
+# rhs_u, rhs_v on both sides of it.
 _COEF = st.floats(min_value=0.0, max_value=10.0)
 
 
@@ -165,7 +161,7 @@ class TestAprioriBound:
     def test_margins_are_the_certification_test(self, alpha, lin_u, lin_v, l1, l3, m2, m3):
         # lin_u > 0 keeps mu1's sign that of lhs - rhs_v: 0 / negative is
         # -0.0, which compares as nonnegative.
-        m = check_growth_margins(Order(alpha), _SEC4_RDATA, GrowthSpec(lin_u, lin_v))
+        m = check_growth_margins(Order(alpha), GrowthSpec(lin_u, lin_v))
         assume(m.lhs > m.rhs_u and m.lhs != m.rhs_v)
         # At quotient 1 the two roundings of the same product may disagree.
         assume(abs(m.quotient - 1.0) > 1e-12)
@@ -389,7 +385,7 @@ def _quadrature_trace_probe(spec, rdata, level, count, seed):
         integral = cumulative_integral(source).values
         margin = float(np.max(np.linalg.norm(integral, axis=1)))
         scale = (level + margin + 1.0) / ga * (1.0 + rng.uniform())
-        c = scale * _random_directions(rng, 1, spec.dim)[0]
+        c = scale * _unit_rows(rng, rng.standard_normal((1, spec.dim)))[0]
         w = eval_rhs(spec, t, element_samples(DomainElement(c, source), spec.ord)[0], ga * c + integral)
         defects.append(float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec))))
     return min(defects), max(defects)
@@ -427,7 +423,7 @@ class TestBatchedProbes:
         rng = np.random.default_rng(3)
         inners = []
         for _ in range(40):
-            z = _random_directions(rng, 1, rdata.dim_ker)[0]
+            z = _unit_rows(rng, rng.standard_normal((1, rdata.dim_ker)))[0]
             e = rdata.kernel @ z * (1.0 * 10.0 ** rng.uniform(0.0, 2.0))
             w = apply_rhs(spec, DomainElement(e, GridFn.zeros(spec.grid_n, spec.dim)))
             inners.append(float(e @ (rdata.lift @ rdata.obstruction(boundary_functional(w.values, spec)))))
@@ -451,7 +447,7 @@ class TestBatchedProbes:
         defects = []
         for _ in range(40):
             coefs, up = rng.standard_normal((3, spec.dim)), rng.uniform()
-            direction = _random_directions(rng, 1, spec.dim)[0]
+            direction = _unit_rows(rng, rng.standard_normal((1, spec.dim)))[0]
             integral = integral_powers @ coefs
             margin = np.sqrt(np.vecdot(integral, integral)).max()
             c = (1.0 + margin + 1.0) / ga * (1.0 + up) * direction

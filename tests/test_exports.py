@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_workloads
 
 import resbvp
 import resbvp.cli
@@ -145,31 +146,57 @@ def test_every_traced_function_exists():
     assert not missing
 
 
-def test_every_command_runs_traced(tmp_path):
-    # The benchmark's traced runs wrap every traced function, so a call the
-    # wrapper cannot pass through would crash them.  run is called through
-    # its module: the tracer rebinds names inside resbvp only.  As in the
-    # benchmark, each command runs once untraced between prepare and
-    # install, so a module a flow imports is loaded by then, and install
-    # fails on any traced function it binds.
-    commands = ("analyze", "solve", "check-hypotheses", "verify-example")
+def _run_traced(configs: list[RunConfig]):
+    """Exit codes of the flows run untraced and then traced, and the tracer.
+
+    As in the benchmark, each flow runs once untraced between prepare and
+    install, so a module a flow imports is loaded by then, and install
+    fails on any traced function it binds.  run is called through its
+    module: the tracer rebinds names inside resbvp only.
+    """
+    tracer = _tracing().Tracer()
 
     def run_all():
         codes = []
-        for flow, command in enumerate(commands):
+        for flow, cfg in enumerate(configs):
             tracer.flow = flow
-            cfg = RunConfig(command=command, builtin="section4", grid_n=64, out_dir=str(tmp_path / command))
             codes.append(resbvp.cli.run(cfg))
         return codes
 
-    tracer = _tracing().Tracer()
     tracer.prepare()
-    assert run_all() == [0] * len(commands)
+    untraced = run_all()
     tracer.install()
     try:
-        codes = run_all()
+        traced = run_all()
     finally:
         tracer.uninstall()
-    assert codes == [0] * len(commands)
+    return untraced, traced, tracer
+
+
+def test_every_command_runs_traced(tmp_path):
+    # The benchmark's traced runs wrap every traced function, so a call the
+    # wrapper cannot pass through would crash them.
+    commands = ("analyze", "solve", "check-hypotheses", "verify-example")
+    configs = [RunConfig(command=c, builtin="section4", grid_n=64, out_dir=str(tmp_path / c)) for c in commands]
+    untraced, traced, tracer = _run_traced(configs)
+    assert untraced == traced == [0] * len(commands)
     spans = [tracer.flow_totals(flow)["cli.run"]["calls"] for flow in range(len(commands))]
     assert spans == [1] * len(commands)
+
+
+def test_config_flows_run_traced(tmp_path):
+    # solve-affine's path: parse_config, load_matrix_csv and the affine rhs.
+    # Seed 0's margins fail, so check-hypotheses exits 1.
+    workloads = load_workloads()
+    workloads.write_affine_inputs(0, tmp_path / "input")
+    config = str(tmp_path / "input" / workloads.AFFINE_CONFIG)
+    configs = [
+        RunConfig(command="solve", config_path=config, max_iter=400, out_dir=str(tmp_path / "solve")),
+        RunConfig(command="check-hypotheses", config_path=config, out_dir=str(tmp_path / "check-hypotheses")),
+    ]
+    untraced, traced, tracer = _run_traced(configs)
+    assert untraced == traced == [0, 1]
+    for flow in range(len(configs)):
+        totals = tracer.flow_totals(flow)
+        assert totals["cli.run"]["calls"] == 1
+        assert totals["cli.parse_config"]["calls"] == 1 and totals["linops.load_matrix_csv"]["calls"] > 0
