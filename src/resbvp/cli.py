@@ -43,6 +43,10 @@ non-convergence); 2 solver non-convergence; 3 input or usage error (a
 value error in a config file names its line as ``<path>:<line>:``), or a
 problem too large for the memory available (the line names the grid).
 Every command prints the margins once.
+
+Each report block is a title plus ``(label, value)`` rows that ``_render``
+writes as ``label : value`` lines (label column 24 wide or the longest
+label, floats as ``%.17g``); only the golden checks and notes are free-form.
 """
 
 from __future__ import annotations
@@ -286,62 +290,64 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _resonance_lines(rdata: ResonanceData) -> list[str]:
+Rows = list[tuple[str, float | int | bool | str | None]]
+
+
+def _render(title: str, rows: Rows) -> list[str]:
+    """One report block: its title, its ``label : value`` rows, a blank line."""
+    width = max(24, *(len(label) for label, _ in rows))
+    body = [f"{label:<{width}} : {_fmt(v) if isinstance(v, float) else v}" for label, v in rows]
+    return [f"== {title} ==", *body, ""]
+
+
+def _resonance_rows(rdata: ResonanceData) -> Rows:
     return [
-        "== resonance decomposition ==",
-        f"dimension                : {rdata.dim}",
-        f"rank                     : {rdata.rank}",
-        f"kernel dimension         : {rdata.dim_ker}",
-        f"ep defect                : {_fmt(rdata.ep_defect)}",
-        f"obstruction scale        : {_fmt(rdata.proj_scale)}",
-        f"||pinv||                 : {_fmt(operator_norm(rdata.pinv))}",
-        f"rank tolerance ambiguous : {rdata.rank_ambiguous}",
-        "",
+        ("dimension", rdata.dim),
+        ("rank", rdata.rank),
+        ("kernel dimension", rdata.dim_ker),
+        ("ep defect", rdata.ep_defect),
+        ("obstruction scale", rdata.proj_scale),
+        ("||pinv||", operator_norm(rdata.pinv)),
+        ("rank tolerance ambiguous", rdata.rank_ambiguous),
     ]
 
 
-def _margins_lines(m: MarginsReport) -> list[str]:
+def _margins_rows(m: MarginsReport) -> Rows:
     return [
-        "== smallness margins ==",
-        f"gamma(alpha)  (lhs)      : {_fmt(m.lhs)}",
-        f"rhs for |u| coefficient  : {_fmt(m.rhs_u)}",
-        f"rhs for |v| coefficient  : {_fmt(m.rhs_v)}",
-        f"product quotient         : {_fmt(m.quotient)}",
-        f"margins satisfied        : {m.ok}",
-        "",
+        ("gamma(alpha)  (lhs)", m.lhs),
+        ("rhs for |u| coefficient", m.rhs_u),
+        ("rhs for |v| coefficient", m.rhs_v),
+        ("product quotient", m.quotient),
+        ("margins satisfied", m.ok),
     ]
 
 
-def _solve_lines(report: SolveReport) -> list[str]:
+def _solve_rows(report: SolveReport) -> Rows:
     r = report.residuals
     return [
-        "== solver ==",
-        f"converged                : {report.converged}",
-        f"diverged                 : {report.diverged}",
-        f"iterations               : {report.iterations}",
-        f"final iterate difference : {_fmt(report.diff_history[-1])}",
-        f"pde residual (interior)  : {_fmt(r.pde_residual)}",
-        f"right bc defect          : {_fmt(r.right_bc_defect)}",
-        f"bc consistency           : {_fmt(r.bc_consistency)}",
-        f"solvability defect       : {_fmt(r.solvability_defect)}",
-        "",
+        ("converged", report.converged),
+        ("diverged", report.diverged),
+        ("iterations", report.iterations),
+        ("final iterate difference", report.diff_history[-1]),
+        ("pde residual (interior)", r.pde_residual),
+        ("right bc defect", r.right_bc_defect),
+        ("bc consistency", r.bc_consistency),
+        ("solvability defect", r.solvability_defect),
     ]
 
 
-def _conditions_lines(g: GrowthSampleReport, tp: TraceDefectProbe, kp: KernelSignProbe) -> list[str]:
+def _probe_rows(g: GrowthSampleReport, tp: TraceDefectProbe, kp: KernelSignProbe) -> Rows:
     return [
-        "== sampling probes (evidence, not proof) ==",
-        f"growth envelope samples  : {g.samples}",
-        f"violations               : {g.violations}",
-        f"worst slack              : {_fmt(g.worst_slack)}",
-        f"trace level              : {_fmt(tp.trace_level)}",
-        f"min range-escape defect  : {_fmt(tp.min_defect)}",
-        f"max range-escape defect  : {_fmt(tp.max_defect)}",
-        f"kernel level             : {_fmt(kp.kernel_level)}",
-        f"kernel feedback min      : {_fmt(kp.min_inner)}",
-        f"kernel feedback max      : {_fmt(kp.max_inner)}",
-        f"strict sign              : {kp.strict_sign}",
-        "",
+        ("growth envelope samples", g.samples),
+        ("violations", g.violations),
+        ("worst slack", g.worst_slack),
+        ("trace level", tp.trace_level),
+        ("min range-escape defect", tp.min_defect),
+        ("max range-escape defect", tp.max_defect),
+        ("kernel level", kp.kernel_level),
+        ("kernel feedback min", kp.min_inner),
+        ("kernel feedback max", kp.max_inner),
+        ("strict sign", kp.strict_sign),
     ]
 
 
@@ -353,14 +359,9 @@ def _golden_lines(report: Section4Report) -> list[str]:
             f"[{status}] {c.name}: computed {_fmt(c.computed)} vs expected "
             f"{_fmt(c.expected)} (residual {_fmt(c.residual)}, tol {_fmt(c.tol)})"
         )
-    lines += [
-        "",
-        "== kernel feedback sign (sampled) ==",
-        f"min inner product        : {_fmt(report.kernel_probe.min_inner)}",
-        f"max inner product        : {_fmt(report.kernel_probe.max_inner)}",
-        "",
-        "== notes ==",
-    ]
+    kp = report.kernel_probe
+    sign = [("min inner product", kp.min_inner), ("max inner product", kp.max_inner)]
+    lines += ["", *_render("kernel feedback sign (sampled)", sign), "== notes =="]
     return lines + [f"- {note}" for note in report.notes] + [""]
 
 
@@ -401,45 +402,43 @@ def run(cfg: RunConfig) -> int:
         spec, growth, label = _build_problem(cfg)
         grid_n = spec.grid_n
         lines += [f"problem: {label} grid_n={spec.grid_n}", ""]
-        lines += [
-            "== problem ==",
-            f"alpha                    : {_fmt(spec.ord.alpha)}",
-            f"xi                       : {_fmt(spec.xi)}",
-            f"dimension                : {spec.dim}",
-            f"||A||                    : {_fmt(operator_norm(spec.a_op))}",
-            "",
-        ]
+        lines += _render(
+            "problem",
+            [("alpha", spec.ord.alpha), ("xi", spec.xi), ("dimension", spec.dim), ("||A||", operator_norm(spec.a_op))],
+        )
         rdata = build_resonance(spec)
-        lines += _resonance_lines(rdata)
+        lines += _render("resonance decomposition", _resonance_rows(rdata))
         margins = check_growth_margins(spec.ord, growth)
-        lines += _margins_lines(margins)
+        lines += _render("smallness margins", _margins_rows(margins))
         if not margins.ok and cfg.command in ("check-hypotheses", "verify-example"):
             exit_code = 1
         if cfg.command == "analyze":
             sr = verify_structure(spec, rdata, samples=5, seed=cfg.seed)
-            lines += [
-                "== structural identities ==",
-                f"projector identity        : {_fmt(sr.identity_residual)}",
-                f"obstruction idempotency   : {_fmt(sr.obstruction_idem_residual)}",
-                f"obstruction on solvables  : {_fmt(sr.obstruction_on_image_residual)}",
-                f"kernel elements fixed     : {_fmt(sr.kernel_fix_residual)}",
-                f"derivative round trip     : {_fmt(sr.left_inverse_residual)}",
-                f"round trip (t in [.1,.9]) : {_fmt(sr.left_inverse_window)}",
-                "",
-            ]
+            lines += _render(
+                "structural identities",
+                [
+                    ("projector identity", sr.identity_residual),
+                    ("obstruction idempotency", sr.obstruction_idem_residual),
+                    ("obstruction on solvables", sr.obstruction_on_image_residual),
+                    ("kernel elements fixed", sr.kernel_fix_residual),
+                    ("derivative round trip", sr.left_inverse_residual),
+                    ("round trip (t in [.1,.9])", sr.left_inverse_window),
+                ],
+            )
         elif cfg.command == "check-hypotheses":
             # 2000 growth samples; 100 trace and 100 kernel probes at level 1.
-            lines += _conditions_lines(
+            probes = _probe_rows(
                 check_growth_bound(spec, growth, 2000, cfg.seed),
                 probe_large_trace_defect(spec, rdata, 1.0, 100, cfg.seed + 1),
                 probe_kernel_sign(spec, rdata, 1.0, 100, cfg.seed + 2),
             )
+            lines += _render("sampling probes (evidence, not proof)", probes)
         else:
             # solve and verify-example: one solve, one CSV, one exit rule.
             if cfg.command == "verify-example":
                 lines += _golden_lines(verify_section4(spec, rdata, seed=cfg.seed))
             report = solve(spec, rdata, opts)
-            lines += _solve_lines(report)
+            lines += _render("solver", _solve_rows(report))
             from . import g17  # here, not at start-up: see its module docstring
 
             g17.write_solution(out / "solution.csv", report.element.source.nodes, *report.residuals.samples)

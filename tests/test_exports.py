@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,29 @@ def test_every_import_is_used(path):
 def test_unused_import_is_caught():
     source = "from .resonance import boundary_functional, boundary_functional_power\nboundary_functional(1, 2)\n"
     assert _unused_imports(source) == ["boundary_functional_power (line 1)"]
+
+
+# Two or more spaces before ": " pad a report label by hand.
+_HAND_PADDED = re.compile(r"[^\s{] {2,}: ")
+
+
+def _hand_padded(source: str) -> list[str]:
+    """String literals of ``source``, f-string parts too, that pad a label by hand."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and _HAND_PADDED.search(node.value)
+    ]
+
+
+def test_cli_pads_no_report_label_by_hand():
+    # Every ``label : value`` line of report.txt goes through cli._render.
+    assert not _hand_padded(Path(resbvp.cli.__file__).read_text(encoding="utf-8"))
+
+
+def test_hand_padded_label_is_caught():
+    source = 'lines = [f"rank                     : {rdata.rank}", f"{label:<{w}} : {text}"]\n'
+    assert _hand_padded(source) == ["rank                     : "]
 
 
 def test_cli_start_up_leaves_g17_unloaded():

@@ -271,7 +271,7 @@ class TestZeroColumns:
     def test_one_rfft_per_column_with_data(self, monkeypatch):
         calls = []
         rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(1) or rfft(*args))
+        monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: calls.append(1) or rfft(*args, **kwargs))
         _product_trapezoid_weights.cache_clear()
         frac_integral(GridFn(_sparse_columns(128)), 0.5)
         # The weight spectrum, then columns 0 and 4: column 3 is zero on y_1..y_N.
