@@ -387,7 +387,7 @@ def run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     lines: list[str] = [f"resbvp report: command = {cfg.command}"]
     exit_code = 0
-    grid_n = None
+    grid_n = error = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         if cfg.builtin and cfg.config_path:
@@ -445,16 +445,16 @@ def run(cfg: RunConfig) -> int:
             if exit_code == 0 and not report.converged:
                 exit_code = 2
     except NonResonantError as exc:
-        lines += ["", f"error: {exc}"]
-        exit_code = 1
+        error, exit_code = str(exc), 1
     except (RhsEvaluationError, ValueError, OSError) as exc:  # ConfigError is a ValueError
-        lines += ["", f"error: {exc}"]
-        exit_code = 3
+        error, exit_code = str(exc), 3
     except MemoryError as exc:
         # numpy's text names the allocation; the grid is what a caller can change.
         at = f" at grid_n = {grid_n}" if grid_n is not None else ""
-        lines += ["", f"error: out of memory{at}: {str(exc) or 'allocation failed'}"]
-        exit_code = 3
+        error, exit_code = f"out of memory{at}: {str(exc) or 'allocation failed'}", 3
+    if error is not None:
+        # One blank line before it: every block already ends with one.
+        lines += ["", f"error: {error}"] if lines[-1] else [f"error: {error}"]
 
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

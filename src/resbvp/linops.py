@@ -44,7 +44,7 @@ class PinvResult:
     With M = U S V^T and r = ``rank``: ``range_proj`` = M M^+ projects
     onto the range of M, ``corange_proj`` = M^+ M onto the range of M^T;
     ``kernel`` = V[:, r:] and ``cokernel`` = U[:, r:] are orthonormal
-    bases of ker M and ker M^T.
+    bases of ker M and ker M^T.  The arrays are kept and marked read-only.
     """
 
     pinv: np.ndarray

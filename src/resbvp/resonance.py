@@ -52,6 +52,7 @@ from .fracops import (
     GridFn,
     Order,
     PowerFn,
+    _check_count,
     _freeze,
     frac_derivative,
     frac_integral,
@@ -91,8 +92,10 @@ class ProblemSpec:
 
     ``rhs(t, u, v)`` implements f(t, x(t), D^(alpha-1) x(t)) on a batch
     of m points at once: t has shape (m,), u and v have shape (m, n) (row
-    j is the point at t[j]), and it must return a finite (m, n) array.
-    ``grid_n`` is the number of uniform subintervals.  This is the one
+    j is the point at t[j]), and it must return a finite (m, n) array
+    that it does not write again, since ``apply_rhs`` keeps it read-only
+    as N x.  ``a_op`` is kept and marked read-only.  ``grid_n``, an
+    integer, is the number of uniform subintervals.  This is the one
     grid rule of every problem source: grid_n >= 8 and xi * grid_n an
     integer, so that xi lands on a grid node.  ``dataclasses.replace``
     re-checks it.
@@ -112,6 +115,7 @@ class ProblemSpec:
             raise ValueError(f"boundary operator must be square and non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("boundary operator has non-finite entries")
+        _check_count(self.grid_n, "grid_n")
         if self.grid_n < 8:
             raise ValueError(f"grid_n must be at least 8, got {self.grid_n}")
         if abs(self.xi * self.grid_n - round(self.xi * self.grid_n)) > 1e-9:
@@ -145,7 +149,9 @@ class ResonanceData:
     which is the regime where the splitting is a genuine direct sum.
     ``offrange_proj`` = I - R R^+ and ``kernel_proj`` = I - R^+ R project
     orthogonally onto the cokernel and the kernel; ``proj_scale`` is the
-    idempotency-pinned coefficient of the obstruction projection.
+    idempotency-pinned coefficient of the obstruction projection.  The six
+    matrices are kept and marked read-only, so ``dataclasses.replace``
+    shares those it is not given.
     """
 
     matrix: np.ndarray
@@ -181,21 +187,22 @@ class DomainElement:
     this representation, and the derivative trace is exact:
     D^(alpha-1) x(t) = Gamma(alpha) coef + int_0^t source.  Membership in
     the domain of the derivative operator additionally requires
-    R coef = h(source); that defect is a computed diagnostic.
+    R coef = h(source); that defect is a computed diagnostic.  ``coef`` is
+    kept and marked read-only.
     """
 
     coef: np.ndarray
     source: GridFn
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coef, dtype=float))
+        c = np.atleast_1d(_freeze(self.coef))
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValueError("coefficient must be a finite vector")
         if c.shape[0] != self.source.dim:
             raise ValueError(
                 f"coefficient dim {c.shape[0]} != source dim {self.source.dim}"
             )
-        object.__setattr__(self, "coef", _freeze(c))
+        object.__setattr__(self, "coef", c)
 
     @classmethod
     def zero(cls, n_intervals: int, dim: int) -> "DomainElement":

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fracops import GridFn, cumulative_integral, frac_derivative, frac_integral
+from .fracops import GridFn, _check_count, cumulative_integral, frac_derivative, frac_integral
 from .resonance import (
     DomainElement,
     ProblemSpec,
@@ -103,6 +103,7 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if not (0.0 < self.relax <= 1.0):
             raise ValueError(f"relaxation must lie in (0, 1], got {self.relax}")
+        _check_count(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not (self.tol_fixed_point > 0 and self.tol_residual > 0):
@@ -262,7 +263,7 @@ def _flat(x: DomainElement) -> np.ndarray:
 
 
 def _element(s: np.ndarray, dim: int) -> DomainElement:
-    """The DomainElement of a flat state."""
+    """The DomainElement of a flat state: read-only views of s."""
     return DomainElement(s[:dim], GridFn(s[dim:].reshape(-1, dim)))
 
 
@@ -304,8 +305,8 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     start's N x serves both the probe and the first step.
 
     The iterate is one flat array s = coef || source, with residual
-    f = g(s) - s; a ``DomainElement`` is built from it only to evaluate
-    N x and to return.  Each step is Anderson's type-II mixing of depth 4
+    f = g(s) - s; N x is evaluated on, and the result returned as, a
+    read-only view of s.  Each step is Anderson's type-II mixing of depth 4
     (Anderson 1965; Walker & Ni 2011): s <- g(s) - sum_i gamma_i dg_i,
     where gamma is the least-squares fit of f by the stored differences
     df_i of successive residuals and dg_i are the matching differences of
@@ -327,6 +328,8 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
             f"initial element has grid_n = {x.source.n_intervals} and dimension {x.source.dim}; "
             f"the problem has grid_n = {spec.grid_n} and dimension {dim}"
         )
+    s = _flat(x)
+    x = _element(s, dim)  # from here on x is a view of s, and neither is written
     w = apply_rhs(spec, x)
     gain, lift = oriented_lift(spec, rdata, x, w)
     oriented = replace(rdata, lift=lift)
@@ -341,9 +344,6 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
     history: list[float] = []
     diverged = False
     while True:
-        # Between steps x holds the state's only copy.
-        s = _flat(x)
-        del x
         phi = fixed_point_map(spec, oriented, s[:dim], w)
         del w  # not held while the next N x is computed
         g = (1.0 - relax) * s
@@ -365,16 +365,14 @@ def solve(spec: ProblemSpec, rdata: ResonanceData, opts: SolveOptions = SolveOpt
             for c, dg in zip(gamma, dgs):
                 g -= c * dg
         step = g - s
-        del s
+        s, x = g, _element(g, dim)
         f_prev, f_norm_prev = f, f_norm
-        del f
+        del g, f
         if len(dfs) == _MIX_DEPTH:
             del dgs[0], dfs[0]
         diff = _row_norm(step, dim)
         history.append(diff)
-        x = _element(g, dim)
-        diverged = _row_norm(g, dim) > _DIVERGENCE_LIMIT
-        del g
+        diverged = _row_norm(s, dim) > _DIVERGENCE_LIMIT
         if diverged or diff <= opts.tol_fixed_point or len(history) == opts.max_iter:
             break
         w = apply_rhs(spec, x)

@@ -745,6 +745,12 @@ class TestOneGridRule:
         with pytest.raises(ValueError, match=f"grid_n must be at least 8, got {grid_n}"):
             build_section4(1, grid_n)
 
+    def test_grid_n_must_be_an_integer(self):
+        # A float grid_n would otherwise fail later, inside numpy, with a TypeError.
+        with pytest.raises(ValueError, match="grid_n must be an integer, got 256.0"):
+            build_section4(1, 256.0)
+        assert build_section4(1, np.int64(256)).grid_n == 256
+
 
 class TestBuiltinAndConfigAgree:
     @pytest.mark.parametrize("command", ["solve", "check-hypotheses"])

@@ -179,10 +179,14 @@ class TestReportLayout:
     def test_every_block_follows_the_layout_rule(self, tmp_path, command, source, flags, exit_code):
         out = tmp_path / "out"
         assert main([command, *source(tmp_path), *flags, "--out", str(out)]) == exit_code
-        rows, faults = _layout_faults((out / "report.txt").read_text())
+        text = (out / "report.txt").read_text()
+        rows, faults = _layout_faults(text)
         assert not faults
         # An input error stops a flow before its first block.
         assert (rows == 0) == (exit_code == 3)
+        if exit_code in (1, 3):
+            # Exactly one blank line before the error, after a block or not.
+            assert "\n\nerror: " in text and "\n\n\nerror: " not in text
 
     def test_layout_check_catches_a_misaligned_row(self):
         # "kernel dimension" padded to 25 where the block's width is 24.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -25,6 +26,7 @@ from resbvp import (
     frac_integral_at,
     gamma,
     partial_inverse,
+    pinv,
     project_kernel,
     project_obstruction,
     split_obstruction,
@@ -354,6 +356,43 @@ class TestDomainElement:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             DomainElement(np.zeros(2), GridFn.zeros(8, 3))
+
+
+class TestArrayOwnership:
+    """A value type keeps a float64 array it is given, marked read-only, and copies only what it converts."""
+
+    @pytest.mark.parametrize(
+        "shape, wrap",
+        [
+            ((9, 2), lambda a: GridFn(a).values),
+            ((9,), lambda a: GridFn(a).values),
+            ((2,), lambda a: PowerFn(a, 0.5).coef),
+            ((2,), lambda a: DomainElement(a, GridFn.zeros(8, 2)).coef),
+            ((2, 2), lambda a: ProblemSpec(Order(1.5), 0.25, a, zero_rhs, 8).a_op),
+            ((2, 2), lambda a: dataclasses.replace(pinv(np.eye(2)), pinv=a).pinv),
+        ],
+        ids=["GridFn", "GridFn-1d", "PowerFn", "DomainElement", "ProblemSpec", "PinvResult"],
+    )
+    def test_float_array_is_kept_read_only(self, shape, wrap):
+        given = np.ones(shape)
+        kept = wrap(given)
+        assert np.shares_memory(kept, given)
+        assert not given.flags.writeable
+
+    def test_converted_inputs_are_left_as_given(self):
+        rows = [[float(j), 1.0] for j in range(9)]
+        ints = np.arange(9)
+        assert not GridFn(rows).values.flags.writeable
+        assert rows == [[float(j), 1.0] for j in range(9)]
+        assert not np.shares_memory(GridFn(ints).values, ints) and ints.flags.writeable
+
+    def test_replace_shares_the_matrices_it_is_not_given(self):
+        rdata = build_resonance(make_resonant_spec(np.random.default_rng(3), 4, 2))
+        lift = np.eye(4)
+        new = dataclasses.replace(rdata, lift=lift)
+        assert np.shares_memory(new.lift, lift) and not lift.flags.writeable
+        for name in ("matrix", "pinv", "offrange_proj", "kernel_proj", "kernel"):
+            assert np.shares_memory(getattr(new, name), getattr(rdata, name)), name
 
 
 class TestEvaluate:

@@ -221,6 +221,20 @@ class TestSolve:
         assert not report.converged
         assert report.iterations == 1
 
+    def test_max_iter_must_be_an_integer(self, sec4_spec, sec4_rdata):
+        # A cap of 1.5 would never apply: len(history) == 1.5 is never true.
+        with pytest.raises(ValueError, match="max_iter must be an integer, got 1.5"):
+            SolveOptions(max_iter=1.5)
+        assert solve(sec4_spec, sec4_rdata, SolveOptions(max_iter=np.int64(1))).iterations == 1
+
+    def test_returned_element_views_one_state_array(self, sec4_spec, sec4_rdata):
+        # solve iterates on one flat array s = coef || source; the element is a view of it.
+        x = solve(sec4_spec, sec4_rdata).element
+        state = x.coef.base
+        assert state is not None and x.source.values.base is state
+        assert state.size == x.coef.size + x.source.values.size
+        assert not (x.coef.flags.writeable or x.source.values.flags.writeable)
+
     def test_divergence_flag(self, sec4_rdata):
         def explosive(t, u, v):
             return 10.0 * u + np.array([1e6, 1e6, 1e6])
