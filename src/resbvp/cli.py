@@ -30,8 +30,9 @@ file is sectioned key = value text:
     # d_matrix = D.csv
     # g_profile = zero | one | t | sqrt
 
-A ``#`` starts a comment only at the start of a line.  Every source
-obeys ``ProblemSpec``'s grid rule: grid_n >= 8, xi * grid_n an integer.
+A ``#`` starts a comment only at the start of a line.  ``--grid``
+replaces a file's grid_n before the one ``ProblemSpec`` is built; only
+that grid meets its grid rule: grid_n >= 8, xi * grid_n an integer.
 
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
@@ -40,8 +41,9 @@ Every command rejects a negative seed.
 Exit codes: 0 success; 1 non-resonant problem, or failed smallness
 margins in check-hypotheses and verify-example (ahead of
 non-convergence); 2 solver non-convergence; 3 input or usage error (a
-value error in a config file names its line as ``<path>:<line>:``), or a
-problem too large for the memory available (the line names the grid).
+value error in a config file, or a matrix file it names that cannot be
+opened, names the key's line as ``<path>:<line>:``), or a problem too
+large for the memory available (the line names the grid).
 Every command prints the margins once.
 
 Each report block is a title plus ``(label, value)`` rows that ``_render``
@@ -54,7 +56,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -164,13 +166,16 @@ def _builtin_problem(name: str, k: int, grid_n: int) -> tuple[ProblemSpec, Growt
     return BUILTINS[name].build(k, grid_n), BUILTINS[name].growth(), f"builtin:{name}"
 
 
-def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
+def parse_config(path: str, grid_n: int | None = None) -> tuple[ProblemSpec, GrowthSpec, str]:
     """Parse a problem file into a spec, its growth envelope and the
     problem label of the report.
 
     Every problem source derives an envelope: the builtin's own, or the
-    exact one of the affine form.  A bad value raises ``ConfigError``
-    prefixed ``<path>:<line>:`` with the line of the offending key.
+    exact one of the affine form.  A bad value, or a matrix file that
+    cannot be opened, raises ``ConfigError`` prefixed ``<path>:<line>:``
+    with the line of its key.  ``grid_n`` (``--grid``) replaces the
+    file's grid_n, still read and type-checked, before the one spec is
+    built: only the grid in use must meet ``ProblemSpec``'s grid rule.
     """
     sections = _parse_sections(path)
     base = str(Path(path).parent)
@@ -191,10 +196,17 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
             noun = "a number" if kind is float else "an integer"
             raise ConfigError(f"{at(sec, key)} {key} must be {noun}, got {sec[key][0]!r}") from exc
 
-    def grid_error(exc: ValueError) -> ConfigError:
-        # The default grid_n passes every check, so a grid error points at
-        # the file's grid_n, or at its xi when grid_n is left out.
-        return ConfigError(f"{at(problem, 'grid_n' if 'grid_n' in problem else 'xi')} {exc}")
+    def load(sec: dict, key: str) -> np.ndarray:
+        try:
+            return load_matrix_csv(Path(base) / sec[key][0])
+        except OSError as exc:
+            raise ConfigError(f"{at(sec, key)} cannot read {key} file: {exc.strerror or exc}") from None
+
+    file_grid = value(problem, "grid_n", int, 256)
+    # The line a grid error names: the file's grid_n, or its xi under the
+    # default grid_n; a --grid value has no line.
+    grid_key = None if grid_n is not None else "grid_n" if "grid_n" in problem else "xi"
+    grid_n = file_grid if grid_n is None else grid_n
 
     op_builtin = operator.get("builtin", (None, 0))[0]
     if op_builtin is not None:
@@ -208,7 +220,6 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
             rhs_keys.add("builtin")
         _reject_ignored(path, "rhs", rhs_sec, rhs_keys, why)
         k = value(operator, "k", int, 1)
-        grid_n = value(problem, "grid_n", int, 256)
         builtin = BUILTINS[op_builtin]
         for key, fixed in (("alpha", builtin.alpha), ("xi", builtin.xi)):
             if not abs(value(problem, key, float, fixed) - fixed) <= 1e-12:  # nan too
@@ -218,72 +229,68 @@ def parse_config(path: str) -> tuple[ProblemSpec, GrowthSpec, str]:
                 )
         if k < 1:
             raise ConfigError(f"{at(operator, 'k')} block count must be positive, got {k}")
-        try:
-            return _builtin_problem(op_builtin, k, grid_n)
-        except ValueError as exc:
-            raise grid_error(exc) from None
-
-    if "csv" not in operator:
-        raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
-    _reject_ignored(path, "operator", operator, {"k"}, "for a csv operator")
-    a_op = load_matrix_csv(Path(base) / operator["csv"][0])
-    if a_op.shape[0] != a_op.shape[1]:
-        raise ConfigError(f"{at(operator, 'csv')} boundary operator must be square, got shape {a_op.shape}")
-    alpha = value(problem, "alpha", float)
-    xi = value(problem, "xi", float)
-    grid_n = value(problem, "grid_n", int, 256)
-    if alpha is None or xi is None:
-        raise ConfigError(f"{path}: section [problem] needs alpha and xi for a csv operator")
-    if not (1.0 < alpha <= 2.0):
-        raise ConfigError(f"{at(problem, 'alpha')} alpha must lie in (1, 2], got {alpha}")
-    if not (0.0 < xi < 1.0):
-        raise ConfigError(f"{at(problem, 'xi')} xi must lie in (0, 1), got {xi}")
-    n = a_op.shape[0]
-
-    rhs_builtin = rhs_sec.get("builtin", (None, 0))[0]
-    if rhs_builtin is not None:
-        if rhs_builtin not in BUILTINS:
-            raise ConfigError(f"{at(rhs_sec, 'builtin')} unknown rhs builtin {rhs_builtin!r}")
-        _reject_ignored(path, "rhs", rhs_sec, _AFFINE_KEYS, "beside [rhs] builtin")
-        rhs = BUILTINS[rhs_builtin].rhs_factory(n)
-        growth = BUILTINS[rhs_builtin].growth()
-        label = "csv+builtin-rhs"
     else:
+        if "csv" not in operator:
+            raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
+        _reject_ignored(path, "operator", operator, {"k"}, "for a csv operator")
+        a_op = load(operator, "csv")
+        if a_op.shape[0] != a_op.shape[1]:
+            raise ConfigError(f"{at(operator, 'csv')} boundary operator must be square, got shape {a_op.shape}")
+        alpha = value(problem, "alpha", float)
+        xi = value(problem, "xi", float)
+        if alpha is None or xi is None:
+            raise ConfigError(f"{path}: section [problem] needs alpha and xi for a csv operator")
+        if not (1.0 < alpha <= 2.0):
+            raise ConfigError(f"{at(problem, 'alpha')} alpha must lie in (1, 2], got {alpha}")
+        if not (0.0 < xi < 1.0):
+            raise ConfigError(f"{at(problem, 'xi')} xi must lie in (0, 1), got {xi}")
+        n = a_op.shape[0]
 
-        def matrix(key: str) -> np.ndarray:
-            if key not in rhs_sec:
-                return np.zeros((n, n))
-            m = load_matrix_csv(Path(base) / rhs_sec[key][0])
-            if m.shape != (n, n):
-                raise ConfigError(f"{at(rhs_sec, key)} affine rhs matrices must be {n}x{n}")
-            return m
+        rhs_builtin = rhs_sec.get("builtin", (None, 0))[0]
+        if rhs_builtin is not None:
+            if rhs_builtin not in BUILTINS:
+                raise ConfigError(f"{at(rhs_sec, 'builtin')} unknown rhs builtin {rhs_builtin!r}")
+            _reject_ignored(path, "rhs", rhs_sec, _AFFINE_KEYS, "beside [rhs] builtin")
+            rhs = BUILTINS[rhs_builtin].rhs_factory(n)
+            growth = BUILTINS[rhs_builtin].growth()
+            label = "csv+builtin-rhs"
+        else:
 
-        c_mat, d_mat = matrix("c_matrix"), matrix("d_matrix")
-        profile_name = rhs_sec.get("g_profile", ("zero", 0))[0]
-        if profile_name not in _G_PROFILES:
-            raise ConfigError(
-                f"{at(rhs_sec, 'g_profile')} unknown g_profile {profile_name!r}; "
-                f"choose from {sorted(_G_PROFILES)}"
+            def matrix(key: str) -> np.ndarray:
+                if key not in rhs_sec:
+                    return np.zeros((n, n))
+                m = load(rhs_sec, key)
+                if m.shape != (n, n):
+                    raise ConfigError(f"{at(rhs_sec, key)} affine rhs matrices must be {n}x{n}")
+                return m
+
+            c_mat, d_mat = matrix("c_matrix"), matrix("d_matrix")
+            profile_name = rhs_sec.get("g_profile", ("zero", 0))[0]
+            if profile_name not in _G_PROFILES:
+                raise ConfigError(
+                    f"{at(rhs_sec, 'g_profile')} unknown g_profile {profile_name!r}; "
+                    f"choose from {sorted(_G_PROFILES)}"
+                )
+            g = _G_PROFILES[profile_name]
+
+            def rhs(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+                return u @ c_mat.T + v @ d_mat.T + g(t)[:, None]
+
+            # Exact envelope for the affine form: spectral norms and the
+            # profile sup (every named profile is bounded by 1 on [0, 1]).
+            growth = GrowthSpec(
+                lin_u=operator_norm(c_mat),
+                lin_v=operator_norm(d_mat),
+                offset=math.sqrt(n),
             )
-        g = _G_PROFILES[profile_name]
+            label = f"csv+affine(g={profile_name})"
 
-        def rhs(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return u @ c_mat.T + v @ d_mat.T + g(t)[:, None]
-
-        # Exact envelope for the affine form: spectral norms and the
-        # profile sup (every named profile is bounded by 1 on [0, 1]).
-        growth = GrowthSpec(
-            lin_u=operator_norm(c_mat),
-            lin_v=operator_norm(d_mat),
-            offset=math.sqrt(n),
-        )
-        label = f"csv+affine(g={profile_name})"
-
-    try:
-        spec = ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n)
+    try:  # the checks above leave ProblemSpec only its grid rule to fail
+        if op_builtin is not None:
+            return _builtin_problem(op_builtin, k, grid_n)
+        return ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n), growth, label
     except ValueError as exc:
-        raise grid_error(exc) from None
-    return spec, growth, label
+        raise ConfigError(f"{at(problem, grid_key)} {exc}" if grid_key else str(exc)) from None
 
 
 def _fmt(v: float) -> str:
@@ -372,10 +379,7 @@ def _build_problem(cfg: RunConfig) -> tuple[ProblemSpec, GrowthSpec, str]:
         grid_n = cfg.grid_n if cfg.grid_n is not None else 4096
         return _builtin_problem(cfg.builtin or "section4", cfg.k, grid_n)
     if cfg.config_path:
-        spec, growth, label = parse_config(cfg.config_path)
-        if cfg.grid_n is not None:
-            spec = replace(spec, grid_n=cfg.grid_n)
-        return spec, growth, label
+        return parse_config(cfg.config_path, cfg.grid_n)
     if cfg.builtin:
         return _builtin_problem(cfg.builtin, cfg.k, cfg.grid_n if cfg.grid_n is not None else 256)
     raise ConfigError("no problem source: pass --builtin NAME or --config PATH")

@@ -268,17 +268,15 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
 def boundary_functional(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
 
-    v holds y's (..., N+1, n) node samples, one row h per leading index;
-    xi must be a node of that grid.  The two kernel integrals are the
-    quadrature's values at nodes xi and 1 alone, without a full sweep.
+    v holds y's (..., N+1, n) node samples on ``spec``'s grid, N =
+    ``spec.grid_n``, one row h per leading index.  The two kernel
+    integrals are the quadrature's values at nodes ``spec.xi_node`` and N
+    alone, without a full sweep.
     """
-    if v.shape[-1] != spec.dim:
-        raise ValueError(f"grid dim {v.shape[-1]} != operator dim {spec.dim}")
-    n = v.shape[-2] - 1
-    jxi = spec.xi * n
-    if abs(jxi - round(jxi)) > 1e-9:
-        raise ValueError(f"xi = {spec.xi} is not a node of the N = {n} grid")
-    at_xi, at_one = np.moveaxis(frac_integral_at(v, spec.ord.alpha, (int(round(jxi)), n)), -2, 0)
+    n = spec.grid_n
+    if v.shape[-2:] != (n + 1, spec.dim):
+        raise ValueError(f"samples of shape {v.shape} are not on the grid: want (..., {n + 1} nodes, {spec.dim})")
+    at_xi, at_one = np.moveaxis(frac_integral_at(v, spec.ord.alpha, (spec.xi_node, n)), -2, 0)
     return np.matmul(spec.a_op, at_xi[..., None])[..., 0] - at_one
 
 

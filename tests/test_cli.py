@@ -104,6 +104,8 @@ class TestVerifyExampleFlow:
                 monkeypatch.setattr(module, "build_resonance", counting_resonance)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[problem]\ngrid_n = 512\n[operator]\nbuiltin = section4\n")
+        cfg10 = tmp_path / "p10.cfg"
+        cfg10.write_text("[problem]\ngrid_n = 10\n[operator]\nbuiltin = section4\n")
         builtin = ["--builtin", "section4", "--grid", "512"]
         for args in (
             ["verify-example", "--grid", "512"],
@@ -111,6 +113,7 @@ class TestVerifyExampleFlow:
             ["analyze", *builtin],
             ["check-hypotheses", *builtin],
             ["solve", "--config", str(cfg)],
+            ["solve", "--config", str(cfg10), "--grid", "512"],
         ):
             grids.clear()
             resonance_builds.clear()
@@ -474,21 +477,96 @@ class TestExitCodes:
         assert "p.cfg:3: duplicate key 'grid_n'" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize(
-        "text, line, message",
+        "command, text, where, message",
         [
-            ("[problem]\nbogus = 1\nalpha 1.5\n", 2, "unknown key 'bogus' in section [problem]"),
-            ("[problem]\nbogus = 1\ngrid_n = 64\ngrid_n = 128\n", 2, "unknown key 'bogus' in section [problem]"),
-            ("[operator]\nbuiltin = section4\n[rhs]\nk = 1\n[extra]\n", 4, "unknown key 'k' in section [rhs]"),
+            ("analyze", "[problem]\nbogus = 1\nalpha 1.5\n", "p.cfg:2", "unknown key 'bogus' in section [problem]"),
+            (
+                "analyze",
+                "[problem]\nbogus = 1\ngrid_n = 64\ngrid_n = 128\n",
+                "p.cfg:2",
+                "unknown key 'bogus' in section [problem]",
+            ),
+            (
+                "analyze",
+                "[operator]\nbuiltin = section4\n[rhs]\nk = 1\n[extra]\n",
+                "p.cfg:4",
+                "unknown key 'k' in section [rhs]",
+            ),
+            ("analyze", "[problem]\n[bogus]\n", "p.cfg:2", "unknown section [bogus]"),
+            ("analyze", "alpha = 1.5\n[problem]\n", "p.cfg:1", "key outside of any section"),
+            ("analyze", "[operator]\nbuiltin = nope\n", "p.cfg:2", "unknown builtin 'nope'"),
+            ("analyze", "[problem]\ngrid_n = 64\n[operator]\n", "p.cfg", "section [operator] needs 'builtin' or 'csv'"),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\n[operator]\ncsv = a.csv\n",
+                "p.cfg",
+                "section [problem] needs alpha and xi for a csv operator",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n[rhs]\nbuiltin = nope\n",
+                "p.cfg:7",
+                "unknown rhs builtin 'nope'",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = missing.csv\n",
+                "p.cfg:5",
+                "cannot read csv file: No such file or directory",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n[rhs]\nc_matrix = nope.csv\n",
+                "p.cfg:7",
+                "cannot read c_matrix file: No such file or directory",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n[rhs]\nd_matrix = .\n",
+                "p.cfg:7",
+                "cannot read d_matrix file: Is a directory",
+            ),
+            (
+                "verify-example",
+                "[operator]\nbuiltin = section4\n",
+                None,
+                "verify-example runs on a builtin; pass --builtin NAME",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = empty.csv\n",
+                "empty.csv",
+                "empty matrix file",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = badhead.csv\n",
+                "badhead.csv:1",
+                "header must be 'rows,cols'",
+            ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = badrow.csv\n",
+                "badrow.csv:2",
+                "expected 2 entries, found 3",
+            ),
         ],
-        ids=["before-malformed", "before-duplicate", "before-unknown-section"],
+        ids=["before-malformed", "before-duplicate", "before-unknown-section", "unknown-section",
+             "key-outside-section", "unknown-operator-builtin", "operator-without-source", "csv-without-xi",
+             "unknown-rhs-builtin", "missing-csv", "missing-c-matrix", "d-matrix-is-a-directory",
+             "verify-example-config", "empty-matrix", "matrix-header", "matrix-row-length"],
     )
-    def test_first_bad_line_is_reported(self, tmp_path, text, line, message):
+    def test_first_bad_line_is_reported(self, tmp_path, command, text, where, message):
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "badhead.csv").write_text("x,2\n1,0\n")
+        (tmp_path / "badrow.csv").write_text("2,2\n1,0,0\n0,1\n")
         cfg = tmp_path / "p.cfg"
         cfg.write_text(text)
         out = tmp_path / "r"
-        assert run_cli(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3
         errors = [s for s in (out / "report.txt").read_text().splitlines() if s.startswith("error: ")]
-        assert errors == [f"error: {cfg}:{line}: {message}"]
+        assert errors == [f"error: {tmp_path / where}: {message}" if where else f"error: {message}"]
 
     def test_non_finite_matrix_entry_exits_three_with_line(self, tmp_path):
         (tmp_path / "a.csv").write_text("2,2\n1,0\n0,nan\n")
@@ -754,7 +832,7 @@ class TestOneGridRule:
 
 class TestBuiltinAndConfigAgree:
     @pytest.mark.parametrize("command", ["solve", "check-hypotheses"])
-    @pytest.mark.parametrize("config_grid, grid_args", [("64", []), ("32", ["--grid", "64"])])
+    @pytest.mark.parametrize("config_grid, grid_args", [("64", []), ("32", ["--grid", "64"]), ("10", ["--grid", "64"])])
     def test_byte_identical_outputs(self, tmp_path, command, config_grid, grid_args):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(f"[problem]\ngrid_n = {config_grid}\n[operator]\nbuiltin = section4\nk = 2\n")
@@ -783,6 +861,12 @@ class TestBuiltinAndConfigAgree:
         assert got[2:] == ref[2:]
         if command == "solve":
             assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
+        # --grid replaces the file's grid_n, which alone would fail the grid rule.
+        c = tmp_path / "flag"
+        cfg.write_text(cfg.read_text().replace("grid_n = 256", "grid_n = 10"))
+        assert run_cli([command, "--config", str(cfg), "--grid", "256", "--out", str(c)]) == 0
+        for name in ["report.txt", "solution.csv"] if command == "solve" else ["report.txt"]:
+            assert (b / name).read_bytes() == (c / name).read_bytes()
 
 
 class TestAnalyzeAndHypotheses:
