@@ -30,9 +30,13 @@ file is sectioned key = value text:
     # d_matrix = D.csv
     # g_profile = zero | one | t | sqrt
 
-A ``#`` starts a comment only at the start of a line.  ``--grid``
-replaces a file's grid_n before the one ``ProblemSpec`` is built; only
-that grid meets its grid rule: grid_n >= 8, xi * grid_n an integer.
+A ``#`` starts a comment only at the start of a line.  A key the chosen
+problem does not read is rejected at its line (the first such key by
+line), after every value it does read has been checked.  Config and
+matrix files are UTF-8; a byte that is not is reported with its line.
+``--grid`` replaces a file's grid_n before the one ``ProblemSpec`` is
+built; only that grid meets its grid rule: grid_n >= 8, xi * grid_n an
+integer.
 
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
@@ -74,7 +78,7 @@ from .conditions import (
     probe_large_trace_defect,
 )
 from .fracops import Order
-from .linops import load_matrix_csv, operator_norm
+from .linops import load_matrix_csv, operator_norm, text_lines
 from .problems import BUILTINS, Section4Report, verify_section4
 from .resonance import NonResonantError, ProblemSpec, ResonanceData, build_resonance, verify_structure
 from .solver import RhsEvaluationError, SolveOptions, SolveReport, solve
@@ -112,50 +116,39 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}; choose from {_COMMANDS}")
 
 
-_AFFINE_KEYS = {"c_matrix", "d_matrix", "g_profile"}
 _KNOWN_KEYS = {
     "problem": {"alpha", "xi", "grid_n"},
     "operator": {"builtin", "k", "csv"},
-    "rhs": {"builtin"} | _AFFINE_KEYS,
+    "rhs": {"builtin", "c_matrix", "d_matrix", "g_profile"},
 }
 
 
 def _parse_sections(path: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    sections: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in _KNOWN_KEYS}
     current: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if current not in _KNOWN_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if current is None:
-                raise ConfigError(f"{path}:{lineno}: key outside of any section")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _KNOWN_KEYS[current]:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
-            if key in sections[current]:
-                first = sections[current][key][1]
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate key {key!r} in section [{current}] "
-                    f"(first set on line {first})"
-                )
-            sections[current][key] = (value.strip(), lineno)
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _KNOWN_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key outside of any section")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KNOWN_KEYS[current]:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            first = sections[current][key][1]
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} in section [{current}] (first set on line {first})"
+            )
+        sections[current][key] = (value.strip(), lineno)
     return sections
-
-
-def _reject_ignored(path: str, name: str, section: dict, keys: set[str], why: str) -> None:
-    for key, (_, lineno) in section.items():
-        if key in keys:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} in section [{name}] is ignored {why}")
 
 
 def _builtin_problem(name: str, k: int, grid_n: int) -> tuple[ProblemSpec, GrowthSpec, str]:
@@ -173,102 +166,94 @@ def parse_config(path: str, grid_n: int | None = None) -> tuple[ProblemSpec, Gro
     Every problem source derives an envelope: the builtin's own, or the
     exact one of the affine form.  A bad value, or a matrix file that
     cannot be opened, raises ``ConfigError`` prefixed ``<path>:<line>:``
-    with the line of its key.  ``grid_n`` (``--grid``) replaces the
-    file's grid_n, still read and type-checked, before the one spec is
-    built: only the grid in use must meet ``ProblemSpec``'s grid rule.
+    with the line of its key.  Each value is read through ``value()``,
+    which marks its key; once the chosen problem has read and checked
+    all it uses, the first key by line left unread is rejected as
+    ignored.  ``grid_n`` (``--grid``) replaces the file's grid_n, still
+    read and type-checked, before the one spec is built: only the grid
+    in use must meet ``ProblemSpec``'s grid rule.
     """
     sections = _parse_sections(path)
-    base = str(Path(path).parent)
+    base = Path(path).parent
+    read: set[tuple[str, str]] = set()  # (section, key) of every value the problem uses
 
-    problem = sections.get("problem", {})
-    operator = sections.get("operator", {})
-    rhs_sec = sections.get("rhs", {})
+    def at(name: str, key: str) -> str:
+        return f"{path}:{sections[name][key][1]}:"
 
-    def at(sec: dict, key: str) -> str:
-        return f"{path}:{sec[key][1]}:"
-
-    def value(sec: dict, key: str, kind: type, default: float | None = None) -> float | None:
-        if key not in sec:
+    def value(name: str, key: str, kind: type = str, default=None):
+        if key not in sections[name]:
             return default
+        read.add((name, key))
         try:
-            return kind(sec[key][0])
+            return kind(sections[name][key][0])
         except ValueError as exc:
             noun = "a number" if kind is float else "an integer"
-            raise ConfigError(f"{at(sec, key)} {key} must be {noun}, got {sec[key][0]!r}") from exc
+            raise ConfigError(f"{at(name, key)} {key} must be {noun}, got {sections[name][key][0]!r}") from exc
 
-    def load(sec: dict, key: str) -> np.ndarray:
+    def load(name: str, key: str) -> np.ndarray:
         try:
-            return load_matrix_csv(Path(base) / sec[key][0])
+            return load_matrix_csv(base / value(name, key))
         except OSError as exc:
-            raise ConfigError(f"{at(sec, key)} cannot read {key} file: {exc.strerror or exc}") from None
+            raise ConfigError(f"{at(name, key)} cannot read {key} file: {exc.strerror or exc}") from None
 
-    file_grid = value(problem, "grid_n", int, 256)
+    file_grid = value("problem", "grid_n", int, 256)
     # The line a grid error names: the file's grid_n, or its xi under the
     # default grid_n; a --grid value has no line.
-    grid_key = None if grid_n is not None else "grid_n" if "grid_n" in problem else "xi"
+    grid_key = None if grid_n is not None else "grid_n" if "grid_n" in sections["problem"] else "xi"
     grid_n = file_grid if grid_n is None else grid_n
 
-    op_builtin = operator.get("builtin", (None, 0))[0]
+    op_builtin = value("operator", "builtin")
     if op_builtin is not None:
         if op_builtin not in BUILTINS:
-            raise ConfigError(f"{at(operator, 'builtin')} unknown builtin {op_builtin!r}")
-        why = f"beside [operator] builtin = {op_builtin}"
-        _reject_ignored(path, "operator", operator, {"csv"}, why)
-        # The builtin operator brings its own rhs; [rhs] may only name it.
-        rhs_keys = set(_AFFINE_KEYS)
-        if rhs_sec.get("builtin", (op_builtin, 0))[0] != op_builtin:
-            rhs_keys.add("builtin")
-        _reject_ignored(path, "rhs", rhs_sec, rhs_keys, why)
-        k = value(operator, "k", int, 1)
+            raise ConfigError(f"{at('operator', 'builtin')} unknown builtin {op_builtin!r}")
+        # The builtin operator brings its own rhs: another [rhs] builtin is left unread.
+        if sections["rhs"].get("builtin", ("",))[0] == op_builtin:
+            value("rhs", "builtin")
+        k = value("operator", "k", int, 1)
         builtin = BUILTINS[op_builtin]
         for key, fixed in (("alpha", builtin.alpha), ("xi", builtin.xi)):
-            if not abs(value(problem, key, float, fixed) - fixed) <= 1e-12:  # nan too
+            if not abs(value("problem", key, float, fixed) - fixed) <= 1e-12:  # nan too
                 raise ConfigError(
-                    f"{at(problem, key)} builtin {op_builtin!r} fixes "
+                    f"{at('problem', key)} builtin {op_builtin!r} fixes "
                     f"alpha = {builtin.alpha} and xi = {builtin.xi}"
                 )
         if k < 1:
-            raise ConfigError(f"{at(operator, 'k')} block count must be positive, got {k}")
+            raise ConfigError(f"{at('operator', 'k')} block count must be positive, got {k}")
     else:
-        if "csv" not in operator:
+        if "csv" not in sections["operator"]:
             raise ConfigError(f"{path}: section [operator] needs 'builtin' or 'csv'")
-        _reject_ignored(path, "operator", operator, {"k"}, "for a csv operator")
-        a_op = load(operator, "csv")
+        a_op = load("operator", "csv")
         if a_op.shape[0] != a_op.shape[1]:
-            raise ConfigError(f"{at(operator, 'csv')} boundary operator must be square, got shape {a_op.shape}")
-        alpha = value(problem, "alpha", float)
-        xi = value(problem, "xi", float)
+            raise ConfigError(f"{at('operator', 'csv')} boundary operator must be square, got shape {a_op.shape}")
+        alpha, xi = value("problem", "alpha", float), value("problem", "xi", float)
         if alpha is None or xi is None:
             raise ConfigError(f"{path}: section [problem] needs alpha and xi for a csv operator")
         if not (1.0 < alpha <= 2.0):
-            raise ConfigError(f"{at(problem, 'alpha')} alpha must lie in (1, 2], got {alpha}")
+            raise ConfigError(f"{at('problem', 'alpha')} alpha must lie in (1, 2], got {alpha}")
         if not (0.0 < xi < 1.0):
-            raise ConfigError(f"{at(problem, 'xi')} xi must lie in (0, 1), got {xi}")
+            raise ConfigError(f"{at('problem', 'xi')} xi must lie in (0, 1), got {xi}")
         n = a_op.shape[0]
 
-        rhs_builtin = rhs_sec.get("builtin", (None, 0))[0]
+        rhs_builtin = value("rhs", "builtin")
         if rhs_builtin is not None:
             if rhs_builtin not in BUILTINS:
-                raise ConfigError(f"{at(rhs_sec, 'builtin')} unknown rhs builtin {rhs_builtin!r}")
-            _reject_ignored(path, "rhs", rhs_sec, _AFFINE_KEYS, "beside [rhs] builtin")
+                raise ConfigError(f"{at('rhs', 'builtin')} unknown rhs builtin {rhs_builtin!r}")
             rhs = BUILTINS[rhs_builtin].rhs_factory(n)
             growth = BUILTINS[rhs_builtin].growth()
             label = "csv+builtin-rhs"
         else:
 
             def matrix(key: str) -> np.ndarray:
-                if key not in rhs_sec:
-                    return np.zeros((n, n))
-                m = load(rhs_sec, key)
+                m = load("rhs", key) if key in sections["rhs"] else np.zeros((n, n))
                 if m.shape != (n, n):
-                    raise ConfigError(f"{at(rhs_sec, key)} affine rhs matrices must be {n}x{n}")
+                    raise ConfigError(f"{at('rhs', key)} affine rhs matrices must be {n}x{n}")
                 return m
 
             c_mat, d_mat = matrix("c_matrix"), matrix("d_matrix")
-            profile_name = rhs_sec.get("g_profile", ("zero", 0))[0]
+            profile_name = value("rhs", "g_profile", str, "zero")
             if profile_name not in _G_PROFILES:
                 raise ConfigError(
-                    f"{at(rhs_sec, 'g_profile')} unknown g_profile {profile_name!r}; "
+                    f"{at('rhs', 'g_profile')} unknown g_profile {profile_name!r}; "
                     f"choose from {sorted(_G_PROFILES)}"
                 )
             g = _G_PROFILES[profile_name]
@@ -285,12 +270,22 @@ def parse_config(path: str, grid_n: int | None = None) -> tuple[ProblemSpec, Gro
             )
             label = f"csv+affine(g={profile_name})"
 
+    # A key the problem above never read would be ignored: the first by line is rejected.
+    unread = [
+        (ln, name, key) for name, sec in sections.items() for key, (_, ln) in sec.items() if (name, key) not in read
+    ]
+    if unread:
+        line, name, key = min(unread)
+        why = "for a csv operator" if name == "operator" else "beside [rhs] builtin"
+        why = f"beside [operator] builtin = {op_builtin}" if op_builtin is not None else why
+        raise ConfigError(f"{path}:{line}: key {key!r} in section [{name}] is ignored {why}")
+
     try:  # the checks above leave ProblemSpec only its grid rule to fail
         if op_builtin is not None:
             return _builtin_problem(op_builtin, k, grid_n)
         return ProblemSpec(ord=Order(alpha), xi=xi, a_op=a_op, rhs=rhs, grid_n=grid_n), growth, label
     except ValueError as exc:
-        raise ConfigError(f"{at(problem, grid_key)} {exc}" if grid_key else str(exc)) from None
+        raise ConfigError(f"{at('problem', grid_key)} {exc}" if grid_key else str(exc)) from None
 
 
 def _fmt(v: float) -> str:
@@ -482,9 +477,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", dest="config_path", help="problem file path")
     parser.add_argument("--builtin", help="builtin problem name (e.g. section4)")
     parser.add_argument("--k", type=int, help="block count for --builtin (default 1)")
-    parser.add_argument("--grid", dest="grid_n", type=int, help="grid subintervals")
+    parser.add_argument(
+        "--grid",
+        dest="grid_n",
+        type=int,
+        help="grid subintervals: grid_n >= 8 with xi * grid_n an integer "
+        "(default: the config's grid_n, else 256; 4096 for verify-example)",
+    )
     parser.add_argument("--damping", type=float, help="relaxation factor in (0, 1]")
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
+    parser.add_argument("--max-iter", dest="max_iter", type=int, help=f"iteration cap of the solve (default {SolveOptions.max_iter})")
     parser.add_argument("--seed", type=int, help="seed of the sampled checks")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     try:

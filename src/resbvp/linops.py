@@ -23,6 +23,7 @@ __all__ = [
     "pinv",
     "check_penrose",
     "operator_norm",
+    "text_lines",
     "load_matrix_csv",
     "save_matrix_csv",
 ]
@@ -132,11 +133,29 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def text_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a UTF-8 file.
+
+    Lines end at LF, CRLF or CR, as in text mode, and each is decoded on
+    its own: a byte that is not UTF-8 is reported by its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = []
+    for i, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            column = exc.start + 1
+            raise ValueError(f"{path}:{i}: not UTF-8 text (byte 0x{raw[exc.start]:02x} at column {column})") from None
+        if text:
+            lines.append((i, text))
+    return lines
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a matrix from plain-text CSV with a "rows,cols" header line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        # (file line number, text) of the non-blank lines
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = text_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     head_no, head_text = lines[0]

@@ -436,6 +436,54 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="smallest valid grid_n is 10"):
             parse_config(str(path))
 
+    # A minimal valid config of each problem kind, and one value for each known key.
+    KINDS = {
+        "builtin": {"operator": {"builtin": "section4"}},
+        "csv-affine": {"problem": {"alpha": "1.5", "xi": "0.25"}, "operator": {"csv": "a.csv"}},
+        "csv-builtin-rhs": {
+            "problem": {"alpha": "1.5", "xi": "0.25"},
+            "operator": {"csv": "a.csv"},
+            "rhs": {"builtin": "section4"},
+        },
+    }
+    KEYS = {
+        ("problem", "alpha"): "1.5",
+        ("problem", "xi"): "0.25",
+        ("problem", "grid_n"): "64",
+        ("operator", "builtin"): "section4",
+        ("operator", "k"): "1",
+        ("operator", "csv"): "a.csv",
+        ("rhs", "builtin"): "section4",
+        ("rhs", "c_matrix"): "a.csv",
+        ("rhs", "d_matrix"): "a.csv",
+        ("rhs", "g_profile"): "one",
+    }
+    # The keys each kind reads.  [rhs] builtin beside an affine rhs makes
+    # the csv-builtin-rhs kind, which reads it; [operator] builtin beside a
+    # csv operator makes a builtin kind, which leaves csv unread.
+    PROBLEM = {"problem.alpha", "problem.xi", "problem.grid_n"}
+    READS = {
+        "builtin": PROBLEM | {"operator.builtin", "operator.k", "rhs.builtin"},
+        "csv-affine": PROBLEM | {"operator.csv", "rhs.builtin", "rhs.c_matrix", "rhs.d_matrix", "rhs.g_profile"},
+        "csv-builtin-rhs": PROBLEM | {"operator.csv", "rhs.builtin"},
+    }
+
+    @pytest.mark.parametrize("section, key", list(KEYS), ids=[f"{s}.{k}" for s, k in KEYS])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_a_key_is_accepted_only_where_it_is_read(self, tmp_path, kind, section, key):
+        save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
+        sections = {name: dict(keys) for name, keys in self.KINDS[kind].items()}
+        sections.setdefault(section, {})[key] = self.KEYS[section, key]
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items()
+        )
+        path = self.write_config(tmp_path, text)
+        if f"{section}.{key}" in self.READS[kind]:
+            parse_config(str(path))
+        else:
+            with pytest.raises(ValueError, match=r":[0-9]+: key '\w+' in section \[\w+\] is ignored "):
+                parse_config(str(path))
+
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Config file format", 1)[1].split("```\n", 2)[1]
@@ -550,19 +598,34 @@ class TestExitCodes:
                 "badrow.csv:2",
                 "expected 2 entries, found 3",
             ),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = latin1.csv\n",
+                "latin1.csv:3",
+                "not UTF-8 text (byte 0xff at column 3)",
+            ),
+            ("analyze", "[problem]\nalpha = \xff\n", "p.cfg:2", "not UTF-8 text (byte 0xff at column 9)"),
+            (
+                "analyze",
+                "[problem]\nalpha = 1.5\n# d\xe9j\xe0 vu\n[operator]\nbuiltin = section4\n",
+                "p.cfg:3",
+                "not UTF-8 text (byte 0xe9 at column 4)",
+            ),
         ],
         ids=["before-malformed", "before-duplicate", "before-unknown-section", "unknown-section",
              "key-outside-section", "unknown-operator-builtin", "operator-without-source", "csv-without-xi",
              "unknown-rhs-builtin", "missing-csv", "missing-c-matrix", "d-matrix-is-a-directory",
-             "verify-example-config", "empty-matrix", "matrix-header", "matrix-row-length"],
+             "verify-example-config", "empty-matrix", "matrix-header", "matrix-row-length",
+             "matrix-not-utf8", "value-not-utf8", "comment-not-utf8"],
     )
     def test_first_bad_line_is_reported(self, tmp_path, command, text, where, message):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "badhead.csv").write_text("x,2\n1,0\n")
         (tmp_path / "badrow.csv").write_text("2,2\n1,0,0\n0,1\n")
+        (tmp_path / "latin1.csv").write_bytes(b"2,2\n1,0\n0,\xff\n")
         cfg = tmp_path / "p.cfg"
-        cfg.write_text(text)
+        cfg.write_bytes(text.encode("latin-1"))  # one byte per character: \xff stays the byte 0xff
         out = tmp_path / "r"
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3
         errors = [s for s in (out / "report.txt").read_text().splitlines() if s.startswith("error: ")]
@@ -580,34 +643,61 @@ class TestExitCodes:
         assert "a.csv:3: non-finite entry" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize(
-        "text, line, key",
+        "text, line, message",
         [
-            ("[operator]\nbuiltin = section4\ncsv = a.csv\n", 3, "csv"),
+            (
+                "[operator]\nbuiltin = section4\ncsv = a.csv\n",
+                3,
+                "key 'csv' in section [operator] is ignored beside [operator] builtin = section4",
+            ),
             (
                 "[operator]\nbuiltin = section4\n[rhs]\nc_matrix = a.csv\ng_profile = one\n",
                 4,
-                "c_matrix",
+                "key 'c_matrix' in section [rhs] is ignored beside [operator] builtin = section4",
             ),
-            ("[operator]\nbuiltin = section4\n[rhs]\nbuiltin = other\n", 4, "builtin"),
-            ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\nk = 2\n", 6, "k"),
+            (
+                "[operator]\nbuiltin = section4\n[rhs]\nbuiltin = other\n",
+                4,
+                "key 'builtin' in section [rhs] is ignored beside [operator] builtin = section4",
+            ),
+            (
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\nk = 2\n",
+                6,
+                "key 'k' in section [operator] is ignored for a csv operator",
+            ),
             (
                 "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n"
                 "[rhs]\nbuiltin = section4\nd_matrix = a.csv\n",
                 8,
-                "d_matrix",
+                "key 'd_matrix' in section [rhs] is ignored beside [rhs] builtin",
             ),
+            (
+                "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\nk = 2\n[rhs]\nbuiltin = section4\n",
+                6,
+                "key 'k' in section [operator] is ignored for a csv operator",
+            ),
+            # Of several ignored keys, the first by line is reported, whatever its section.
+            (
+                "[rhs]\nc_matrix = a.csv\n[operator]\nbuiltin = section4\ncsv = a.csv\n",
+                2,
+                "key 'c_matrix' in section [rhs] is ignored beside [operator] builtin = section4",
+            ),
+            # A value the problem reads is checked before any key it leaves unread.
+            ("[operator]\nbuiltin = section4\ncsv = a.csv\nk = 0\n", 4, "block count must be positive, got 0"),
         ],
         ids=["csv-beside-builtin", "affine-beside-builtin-operator", "other-rhs-builtin",
-             "k-for-csv", "affine-beside-rhs-builtin"],
+             "k-for-csv", "affine-beside-rhs-builtin", "k-for-csv-with-rhs-builtin",
+             "first-ignored-by-line", "read-value-before-ignored-key"],
     )
-    def test_ignored_key_exits_three_with_line(self, tmp_path, text, line, key):
+    def test_ignored_key_exits_three_with_line(self, tmp_path, text, line, message):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
         cfg = tmp_path / "p.cfg"
         cfg.write_text(text)
         out = tmp_path / "r"
         code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == 3
-        assert f"p.cfg:{line}: key {key!r}" in (out / "report.txt").read_text()
+        errors = [s for s in (out / "report.txt").read_text().splitlines() if s.startswith("error: ")]
+        assert errors == [f"error: {cfg}:{line}: {message}"]
 
     def test_rhs_builtin_beside_builtin_operator_accepted(self, tmp_path):
         cfg = tmp_path / "p.cfg"

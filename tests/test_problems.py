@@ -8,6 +8,7 @@ from resbvp import (
     build_resonance,
     build_section4,
     section4_growth,
+    solve,
     verify_section4,
 )
 
@@ -233,3 +234,30 @@ class TestGrowthSpecSection4:
     def test_offset_family(self):
         g = section4_growth(radius=2.0)
         assert g.offset == pytest.approx((2.0 + 0.5 + 1.0) / 10.0)
+
+
+class TestSection4ClosedForm:
+    """From the zero start the solve reaches section4's solution in closed form.
+
+    The trace stays below the rhs switch at ||v|| = 1 (its largest value is
+    13/60), so f_1 is the constant 0.1 and the right condition fixes x_1's
+    kernel coefficient; the other components solve homogeneous equations.
+    The rule is exact on a constant source, so only rounding is left: x
+    within 64 eps, and the trace within 64 eps max(1, N/256), since its
+    sequential cumulative sum rounds about linearly in N.
+    """
+
+    @pytest.mark.parametrize(
+        "k, grid_n", [(1, 256), (4, 256), (16, 256), (1, 4096), (4, 4096), (16, 4096), (1, 65536)]
+    )
+    def test_solve_from_zero_start(self, k, grid_n):
+        spec = build_section4(k, grid_n)
+        report = solve(spec, build_resonance(spec))
+        assert report.converged
+        x, trace = report.residuals.samples
+        t = report.element.source.nodes
+        eps = np.finfo(float).eps
+        x1 = (-0.325 * np.sqrt(t) + 0.1 * t**1.5) / math.gamma(2.5)
+        assert np.max(np.abs(x[:, 0] - x1)) <= 64 * eps
+        assert np.max(np.abs(trace[:, 0] - (-13 / 60 + t / 10))) <= 64 * eps * max(1, grid_n / 256)
+        assert not x[:, 1:].any() and not trace[:, 1:].any()
