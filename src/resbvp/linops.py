@@ -137,10 +137,11 @@ def text_lines(path) -> list[tuple[int, str]]:
     """(line number, stripped text) of each non-blank line of a UTF-8 file.
 
     Lines end at LF, CRLF or CR, as in text mode, and each is decoded on
-    its own: a byte that is not UTF-8 is reported by its line.
+    its own: a byte that is not UTF-8 is reported by its line.  One
+    leading UTF-8 byte-order mark is dropped.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     lines = []
     for i, raw in enumerate(data.splitlines(), start=1):
         try:

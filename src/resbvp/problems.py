@@ -33,7 +33,7 @@ import numpy as np
 
 from .conditions import GrowthSpec, KernelSignProbe, probe_kernel_sign
 from .fracops import GridFn, Order, frac_integral_at, gamma
-from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback
+from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback, boundary_functional
 from .solver import apply_rhs
 
 __all__ = [
@@ -135,11 +135,12 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
 
     ``spec`` is ``build_section4(k, grid_n)`` and ``rdata`` its
     ``build_resonance``.  Matrix entries are checked by arithmetic, the
-    two beta-moment constants by product quadrature at grid_n and the
-    kernel-feedback sign by sampling under ``seed`` at grid_n; the report
-    holds that probe.  The margins and the solve are not part of it: the
-    command line runs them as it does for ``solve``.  Failures are
-    enumerated in the report, never thrown.
+    two beta-moment constants by product quadrature at grid_n, h of the
+    kernel feedback by ``boundary_functional``, the solver's own h, and
+    the kernel-feedback sign by sampling under ``seed`` at grid_n; the
+    report holds that probe.  The margins and the solve are not part of
+    it: the command line runs them as it does for ``solve``.  Failures
+    are enumerated in the report, never thrown.
     """
     k, grid_n = spec.dim // 3, spec.grid_n
     alpha = spec.ord.alpha
@@ -196,11 +197,8 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     e = np.zeros(spec.dim)
     e[2] = sigma
     w = apply_rhs(spec, DomainElement(e, GridFn.zeros(grid_n, spec.dim))).values
-    iv_xi, iv_one = frac_integral_at(w, alpha, (spec.xi_node, grid_n))
-    ga = gamma(alpha)
-    # Component-3 beta moments, solved for the recorded d-constants.
-    dhat_quad = ga * iv_xi[2] / (0.1 * sigma / 4.0)
-    dtil_quad = ga * iv_one[2] / (0.1 * sigma / 4.0)
+    # Component-3 beta moments at xi and 1, solved for the recorded d-constants.
+    dhat_quad, dtil_quad = gamma(alpha) * frac_integral_at(w, alpha, (spec.xi_node, grid_n))[:, 2] / (0.1 * sigma / 4.0)
     dhat = math.pi / 128.0 + sq_pi / 24.0
     dtil = math.pi / 8.0 + sq_pi / 3.0
     checks.append(GoldenCheck("dhat_quadrature", dhat_quad, dhat, 1e-6))
@@ -209,8 +207,7 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     # First component of h(N e t^(1/2)).  The recorded target 11/(40 sqrt(pi))
     # follows from taking int_0^1 (1-s)^(1/2) ds = 3/2; the integral is 2/3,
     # which gives 13/(120 sqrt(pi)).  Both comparisons are reported.
-    # h(w) = A (I^alpha w)(xi) - (I^alpha w)(1), from the two nodes above.
-    h_w = spec.a_op @ iv_xi - iv_one
+    h_w = boundary_functional(w, spec)
     checks.append(GoldenCheck("h_kernel_feedback_first_recorded", float(h_w[0]), 11.0 / (40.0 * sq_pi), 1e-6))
     checks.append(GoldenCheck("h_kernel_feedback_first_computed", float(h_w[0]), 13.0 / (120.0 * sq_pi), 1e-6))
 

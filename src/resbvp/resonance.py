@@ -40,10 +40,8 @@ scale kappa making the projection idempotent is
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -86,6 +84,10 @@ class NonResonantError(ValueError):
     """The resonance matrix is invertible; the splitting scheme does not apply."""
 
 
+def _on_node(xi: float, grid_n):
+    return np.abs(xi * grid_n - np.rint(xi * grid_n)) <= 1e-9
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A complete finite-truncation problem instance.
@@ -96,9 +98,12 @@ class ProblemSpec:
     that it does not write again, since ``apply_rhs`` keeps it read-only
     as N x.  ``a_op`` is kept and marked read-only.  ``grid_n``, an
     integer, is the number of uniform subintervals.  This is the one
-    grid rule of every problem source: grid_n >= 8 and xi * grid_n an
-    integer, so that xi lands on a grid node.  ``dataclasses.replace``
-    re-checks it.
+    grid rule of every problem source: grid_n >= 8 and xi * grid_n
+    within 1e-9 of an integer (``_on_node``), so that xi lands on a grid
+    node.  A grid that breaks it is rejected naming the smallest
+    grid_n >= 8 that passes the same test, scanned up to 10^6 in blocks
+    of 2^16, or saying that none does.  ``dataclasses.replace`` re-checks
+    it.
     """
 
     ord: Order
@@ -118,12 +123,11 @@ class ProblemSpec:
         _check_count(self.grid_n, "grid_n")
         if self.grid_n < 8:
             raise ValueError(f"grid_n must be at least 8, got {self.grid_n}")
-        if abs(self.xi * self.grid_n - round(self.xi * self.grid_n)) > 1e-9:
-            q = Fraction(self.xi).limit_denominator(10**6).denominator
-            raise ValueError(
-                f"xi = {self.xi} must land on a grid node: grid_n = {self.grid_n} is invalid, "
-                f"smallest valid grid_n is {q * math.ceil(8 / q)}"
-            )
+        if not _on_node(self.xi, self.grid_n):
+            blocks = (np.arange(s, min(s + 2**16, 10**6 + 1)) for s in range(8, 10**6 + 1, 2**16))
+            valid = next((g[ok][0] for g in blocks if (ok := _on_node(self.xi, g)).any()), None)
+            hint = f"no grid_n up to {10**6} is valid" if valid is None else f"smallest valid grid_n is {valid}"
+            raise ValueError(f"xi = {self.xi} must land on a grid node: grid_n = {self.grid_n} is invalid, {hint}")
         object.__setattr__(self, "a_op", _freeze(a))
 
     @property
@@ -213,7 +217,9 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
     """Assemble the splitting data for R = I - xi^(alpha-1) A.
 
     Raises ``NonResonantError`` when R is invertible at the rank
-    tolerance.  A singular value within a factor 10 of the tolerance
+    tolerance, naming R's smallest singular value and that tolerance,
+    so a nearly singular R is told apart from a clearly regular one.
+    A singular value within a factor 10 of the tolerance
     makes the kernel dimension ill-determined; that is reported through
     ``rank_ambiguous`` and a warning.
     """
@@ -221,15 +227,15 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
     r = np.eye(n) - spec.xi ** spec.ord.alpha_m1 * spec.a_op
     pr = pinv(r, tol)
     dim_ker = n - pr.rank
+    s = pr.singular_values
     if dim_ker == 0:
         raise NonResonantError(
-            "the boundary operator is non-resonant (kernel is trivial); "
-            "the projection scheme does not apply"
+            "the boundary operator is non-resonant (kernel is trivial): the smallest singular value "
+            f"of R is {s[-1]:.3e}, above the rank tolerance {pr.tol_used:.3e}; the projection scheme does not apply"
         )
     # Only singular values above the machine-noise floor can make the
     # rank genuinely tolerance-sensitive; eps-scale representations of
     # exact zeros always sit near any reasonable tolerance.
-    s = pr.singular_values
     noise_floor = np.finfo(float).eps * max(r.shape) * (s[0] if s.size else 0.0)
     ambiguous = bool(
         np.any((s > noise_floor) & (s > pr.tol_used / 10) & (s < pr.tol_used * 10))

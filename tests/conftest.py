@@ -8,14 +8,16 @@ import pytest
 
 from resbvp import Order, ProblemSpec, build_section4, cumulative_integral, evaluate, frac_integral
 
-WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def load_workloads():
-    """The benchmark's workload module, which writes the seeded affine inputs."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def load_benchmark_module(stem: str):
+    """The benchmark's module ``perfbench/<stem>.py``, loaded from its file
+    and registered as ``perfbench_<stem>``: its dataclasses look their
+    module up.  ``workloads`` writes the seeded affine inputs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

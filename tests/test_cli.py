@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import load_workloads
+from conftest import load_benchmark_module
 
 import resbvp.problems as problems
 import resbvp.resonance as resonance
@@ -180,7 +180,7 @@ def _solution_arrays(report):
 
 
 def _affine_report(tmp_path):
-    workloads = load_workloads()
+    workloads = load_benchmark_module("workloads")
     workloads.write_affine_inputs(0, tmp_path)
     spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
     return solve(spec, build_resonance(spec))
@@ -226,7 +226,7 @@ class TestSolutionCsv:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # At N = 16384 the affine solve's state holds 98316 values; OpenBLAS
         # splits a dot product that long across threads, in another order.
-        workloads = load_workloads()
+        workloads = load_benchmark_module("workloads")
         workloads.write_affine_inputs(0, tmp_path)
         src = str(Path(g17.__file__).parent.parent)
         outputs = []
@@ -504,6 +504,20 @@ class TestExitCodes:
         assert code == 1
         assert "non-resonant" in (out / "report.txt").read_text()
 
+    def test_nearly_resonant_exit_names_how_close(self, tmp_path):
+        # The solve-affine operator typed to 6 digits: R's two smallest
+        # singular values become 3.17e-7 and 2.75e-9, so its kernel is trivial.
+        a_op = load_benchmark_module("workloads").write_affine_inputs(0, tmp_path / "input")["a_op"]
+        save_matrix_csv(tmp_path / "a.csv", np.round(a_op, 6))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 64\n[operator]\ncsv = a.csv\n")
+        out = tmp_path / "run"
+        assert run_cli(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "report.txt").read_text().splitlines()[-1] == (
+            "error: the boundary operator is non-resonant (kernel is trivial): the smallest singular value "
+            "of R is 2.746e-09, above the rank tolerance 1.727e-15; the projection scheme does not apply"
+        )
+
     def test_parse_error_exits_three(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[problem]\nalpha = oops\n[operator]\nbuiltin = section4\n")
@@ -641,6 +655,19 @@ class TestExitCodes:
         code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert "a.csv:3: non-finite entry" in (out / "report.txt").read_text()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Some editors start a UTF-8 file with the mark EF BB BF.
+        text = b"[problem]\ngrid_n = 64\n[operator]\nbuiltin = section4\n"
+        reports = []
+        for name, data in [("plain", text), ("marked", b"\xef\xbb\xbf" + text)]:
+            (tmp_path / name).mkdir()
+            cfg = tmp_path / name / "p.cfg"
+            cfg.write_bytes(data)
+            out = tmp_path / name / "r"
+            assert run_cli(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "report.txt").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -830,10 +857,12 @@ class TestExitCodes:
             ("[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
             ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 3),
             ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = r.csv\n", 5),
+            ("[problem]\nalpha = 1.5\nxi = 0.123456789\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
         ],
         ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "builtin-alpha-nan",
              "builtin-xi-nan", "g-profile", "c-shape", "d-shape", "k-non-positive", "grid-below-8",
-             "builtin-xi-off-grid", "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator"],
+             "builtin-xi-off-grid", "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator",
+             "xi-on-no-grid"],
     )
     def test_value_error_exits_three_with_line(self, tmp_path, text, line):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import importlib.util
 import os
 import pkgutil
 import re
@@ -9,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import load_workloads
+from conftest import load_benchmark_module
 
 import resbvp
 import resbvp.cli
@@ -18,9 +17,6 @@ from resbvp.cli import RunConfig
 # resbvp.__main__ runs the command line on import.
 MODULES = [m.name for m in pkgutil.iter_modules(resbvp.__path__, "resbvp.") if m.name != "resbvp.__main__"]
 SOURCES = sorted(p for p in Path(resbvp.__file__).parent.glob("*.py") if p.name != "__init__.py")
-TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
-WORKLOADS = TRACING.with_name("workloads.py")
-CHECKS = TRACING.with_name("checks.py")
 # Traced names whose function is already gone; the benchmark's table
 # drops them when it is next re-baselined.
 UNTRACEABLE = {"linops.kernel_basis"}
@@ -96,33 +92,23 @@ def test_cli_start_up_leaves_g17_unloaded():
     # this one has g17 loaded already.
     src = str(Path(resbvp.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, resbvp.cli; print(sorted(m for m in sys.modules if m.startswith('resbvp')))"
+    # Nor does start-up load fractions or decimal (about 2 ms and 0.4 MB).
+    code = "import sys, resbvp.cli; print(sorted(m for m in sys.modules if m.startswith(('resbvp', 'fractions', 'decimal'))))"
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert "resbvp.cli" in loaded.stdout
     assert "resbvp.g17" not in loaded.stdout
-
-
-def _tracing():
-    """The benchmark's tracing module, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    assert "'fractions'" not in loaded.stdout and "'decimal'" not in loaded.stdout
 
 
 def _traced_names() -> list[str]:
     """``<layer>.<function>`` of every entry in the benchmark's TRACED table."""
-    return [f"{layer}.{name}" for layer, names in _tracing().TRACED.items() for name in names]
+    return [f"{layer}.{name}" for layer, names in load_benchmark_module("tracing").TRACED.items() for name in names]
 
 
-def test_every_workload_builds_its_run_config(tmp_path, monkeypatch):
+def test_every_workload_builds_its_run_config(tmp_path):
     # The benchmark builds each flow's inputs and RunConfig outside the
     # flow's error handling, so an exception here fails the whole run.
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load_benchmark_module("workloads")
     for name, workload in workloads.WORKLOADS.items():
         if workload.generated:
             workloads.write_affine_inputs(0, tmp_path / "input")
@@ -130,20 +116,11 @@ def test_every_workload_builds_its_run_config(tmp_path, monkeypatch):
         assert isinstance(cfg, RunConfig) and cfg.command == workload.command, name
 
 
-def _benchmark_module(path: Path, monkeypatch):
-    """A benchmark module loaded from its file and registered, as its dataclasses need."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_workload_passes_its_output_checks(tmp_path, monkeypatch):
+def test_every_workload_passes_its_output_checks(tmp_path):
     # One failed flow check fails a whole benchmark run.  Two flows per
     # workload, so the second also checks that solution.csv's bytes repeat.
-    checks = _benchmark_module(CHECKS, monkeypatch)
-    workloads = _benchmark_module(WORKLOADS, monkeypatch)
+    checks = load_benchmark_module("checks")
+    workloads = load_benchmark_module("workloads")
     failed = {}
     for name, workload in workloads.WORKLOADS.items():
         reference, ref_csv = checks.load_reference(name)
@@ -178,7 +155,7 @@ def _run_traced(configs: list[RunConfig]):
     fails on any traced function it binds.  run is called through its
     module: the tracer rebinds names inside resbvp only.
     """
-    tracer = _tracing().Tracer()
+    tracer = load_benchmark_module("tracing").Tracer()
 
     def run_all():
         codes = []
@@ -211,7 +188,7 @@ def test_every_command_runs_traced(tmp_path):
 def test_config_flows_run_traced(tmp_path):
     # solve-affine's path: parse_config, load_matrix_csv and the affine rhs.
     # Seed 0's margins fail, so check-hypotheses exits 1.
-    workloads = load_workloads()
+    workloads = load_benchmark_module("workloads")
     workloads.write_affine_inputs(0, tmp_path / "input")
     config = str(tmp_path / "input" / workloads.AFFINE_CONFIG)
     configs = [

@@ -185,6 +185,13 @@ class TestMatrixCsv:
         save_matrix_csv(path, m)
         np.testing.assert_array_equal(load_matrix_csv(path), m)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "m.csv"
+        m = np.array([[1.5, 0.0], [-2.25, 1e-7]])
+        save_matrix_csv(path, m)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        np.testing.assert_array_equal(load_matrix_csv(path), m)
+
     def test_header_line_present(self, tmp_path):
         path = tmp_path / "m.csv"
         save_matrix_csv(path, np.eye(2))

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import resbvp.resonance
 import resbvp.solver
@@ -100,6 +102,68 @@ class TestBuildResonance:
     def test_empty_operator_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             ProblemSpec(Order(1.5), 0.25, np.zeros((0, 0)), zero_rhs, 64)
+
+
+def _suggested_grid(xi: float, grid_n: int) -> int | None:
+    """The grid_n named when ProblemSpec rejects (xi, grid_n), or None when the
+    text says none up to 10^6 is valid; an accepted pair is no example."""
+    try:
+        ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, grid_n)
+    except ValueError as exc:
+        text = str(exc)
+    else:
+        assume(False)
+    head = f"xi = {xi} must land on a grid node: grid_n = {grid_n} is invalid, "
+    assert text.startswith(head)
+    if text == head + "no grid_n up to 1000000 is valid":
+        return None
+    return int(text.removeprefix(head + "smallest valid grid_n is "))
+
+
+def _first_node_grid(xi: float) -> int | None:
+    """The smallest grid_n in [8, 10^6] with xi * grid_n within 1e-9 of an integer, by a direct scan."""
+    for start in range(8, 10**6 + 1, 10**5):
+        grids = np.arange(start, min(start + 10**5, 10**6 + 1))
+        hits = grids[np.abs(xi * grids - np.round(xi * grids)) <= 1e-9]
+        if hits.size:
+            return int(hits[0])
+    return None
+
+
+def _check_suggestion(xi: float, grid_n: int) -> int | None:
+    """A rejection names the smallest grid the rule accepts, or says that none up to 10^6 passes."""
+    suggested = _suggested_grid(xi, grid_n)
+    # The direct scan finds no valid grid in [8, suggested), or none at all.
+    assert suggested == _first_node_grid(xi)
+    if suggested is not None:
+        assert ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, suggested).grid_n == suggested
+        for below in (8, suggested - 1):
+            if 8 <= below < suggested:
+                with pytest.raises(ValueError, match=f"grid_n = {below} is invalid, smallest valid grid_n is {suggested}$"):
+                    ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, below)
+    return suggested
+
+
+class TestGridSuggestion:
+    """The grid a rejection suggests passes the same node test that rejected."""
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(8, 4096))
+    @example(0.123456789, 64)
+    @example(0.2500001, 64)
+    @example(1 / math.sqrt(2), 64)
+    @example(0.25, 10)
+    @settings(max_examples=60, deadline=None)
+    def test_float_xi(self, xi, grid_n):
+        _check_suggestion(xi, grid_n)
+
+    @given(st.integers(2, 10**4).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))), st.integers(8, 4096))
+    @example((1, 7), 64)
+    @example((999, 1000), 64)
+    @settings(max_examples=100, deadline=None)
+    def test_rational_xi_keeps_the_smallest_multiple_of_q(self, pq, grid_n):
+        p, q = pq
+        d = q // math.gcd(p, q)  # the reduced denominator
+        assert _check_suggestion(p / q, grid_n) == d * math.ceil(8 / d)
 
 
 class TestBoundaryFunctional:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import element_samples, load_workloads, make_resonant_spec
+from conftest import element_samples, load_benchmark_module, make_resonant_spec
 
 from resbvp import (
     DomainElement,
@@ -320,7 +320,7 @@ class TestSolve:
         # The seeded affine solve takes 13 steps, so its history fills to
         # depth 4: x and 2 * depth arrays are held across each N x.  The
         # traced peak is 14.51 (N+1) x dim arrays, inside the loop.
-        workloads = load_workloads()
+        workloads = load_benchmark_module("workloads")
         workloads.write_affine_inputs(0, tmp_path)
         spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
         rdata = build_resonance(spec)
@@ -338,7 +338,7 @@ class TestSolve:
 class TestOrientedLift:
     @pytest.mark.parametrize("seed", range(10))
     def test_affine_gain_matches_closed_form(self, seed, tmp_path):
-        workloads = load_workloads()
+        workloads = load_benchmark_module("workloads")
         workloads.write_affine_inputs(seed, tmp_path)
         spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
         rdata = build_resonance(spec)
