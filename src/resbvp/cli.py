@@ -35,8 +35,8 @@ problem does not read is rejected at its line (the first such key by
 line), after every value it does read has been checked.  Config and
 matrix files are UTF-8; a byte that is not is reported with its line.
 ``--grid`` replaces a file's grid_n before the one ``ProblemSpec`` is
-built; only that grid meets its grid rule: grid_n >= 8, xi * grid_n an
-integer.
+built; only that grid meets its grid rule, grid_n >= 8.  xi need not be
+a grid node: the boundary condition is read at xi itself.
 
 ``--seed`` drives the sampled checks of analyze, check-hypotheses and
 verify-example; solve starts from the zero element and does not read it.
@@ -197,9 +197,8 @@ def parse_config(path: str, grid_n: int | None = None) -> tuple[ProblemSpec, Gro
             raise ConfigError(f"{at(name, key)} cannot read {key} file: {exc.strerror or exc}") from None
 
     file_grid = value("problem", "grid_n", int, 256)
-    # The line a grid error names: the file's grid_n, or its xi under the
-    # default grid_n; a --grid value has no line.
-    grid_key = None if grid_n is not None else "grid_n" if "grid_n" in sections["problem"] else "xi"
+    # A grid error names the file's grid_n line; a --grid value has none.
+    grid_key = "grid_n" if grid_n is None and "grid_n" in sections["problem"] else None
     grid_n = file_grid if grid_n is None else grid_n
 
     op_builtin = value("operator", "builtin")
@@ -481,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         "--grid",
         dest="grid_n",
         type=int,
-        help="grid subintervals: grid_n >= 8 with xi * grid_n an integer "
+        help="grid subintervals, at least 8 "
         "(default: the config's grid_n, else 256; 4096 for verify-example)",
     )
     parser.add_argument("--damping", type=float, help="relaxation factor in (0, 1]")

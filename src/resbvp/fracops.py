@@ -16,14 +16,14 @@ Its sums at all nodes form one causal convolution per component, which
 O(N log N) for each component with data on y_1..y_N; a component that
 is zero there, such as a block tail of the section4 example from the
 zero start, convolves to zero and is skipped.  The spectrum of the
-weights is cached with the weights per (a, N).  ``frac_integral_at``
-reads single nodes of a stack of sample arrays from the same cached
-weights as O(N) products, which is all the boundary functional needs
-(nodes xi and 1).  The weights themselves are
-second and first differences of powers; they are evaluated as binomial
-series in 1/m whose cancelling leading terms drop out analytically, so
-they keep full relative precision where the direct differences lose
-about m^2 of it.
+weights is cached with the weights per (a, N).  The rule is a closed
+form at any point, not only at nodes: ``frac_integral_at`` reads it at
+real points of a stack of sample arrays as O(N) products, which is all
+the boundary functional needs (t = xi and 1).  The weights themselves
+are second and first differences of powers; from m = 2 on they are
+binomial series in 1/m whose cancelling leading terms drop out
+analytically, so they keep full relative precision where the direct
+differences lose about m^2 of it.
 
 Power functions c * t^beta are never sampled; they travel as exact
 ``PowerFn`` values and are integrated through the Euler beta integral
@@ -195,23 +195,25 @@ class PowerFn:
 
 
 def _trapezoid_weights(a: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights b_m and w0_m of ``_product_trapezoid_weights`` at integers m >= 0.
+    """The weights b_m and w0_m of ``_product_trapezoid_weights`` at real m > -1.
 
-    With p = a + 1, both are m^p times a binomial series in 1/m whose
-    leading terms cancel analytically:
+    With p = a + 1, below m = 2 they are its direct differences, powers
+    of negative numbers read as 0, and b_1 = 2 expm1(a ln 2).  From m = 2
+    on both are m^p times a binomial series in 1/m whose leading terms
+    cancel analytically:
         b_m  = 2 m^p sum_{k>=1} C(p, 2k) m^(-2k),
         w0_m = m^p sum_{k>=2} (-1)^k C(p, k) m^(-k),
     so no difference of nearly equal powers is formed; the direct forms
     lose about m^2 of relative precision.  Each series is summed by
-    Horner's rule in 1/m, ``np.polyval`` of its coefficients highest
-    power first.  b_1 = 2 expm1(a ln 2) and w0_1 = a are closed forms.
+    Horner's rule in 1/m, ``np.polyval`` of its coefficients highest power first.
     """
     p = a + 1.0
     m = np.asarray(m, dtype=float)
-    b = np.empty_like(m)
-    w0 = np.empty_like(m)
-    b[m == 0], w0[m == 0] = 1.0, 0.0
-    b[m == 1], w0[m == 1] = 2.0 * np.expm1(a * math.log(2.0)), a
+    b, w0 = np.empty_like(m), np.empty_like(m)
+    low = m[m < 2]
+    b[m < 2] = (low + 1.0) ** p - 2.0 * np.maximum(low, 0.0) ** p + np.maximum(low - 1.0, 0.0) ** p
+    w0[m < 2] = np.maximum(low - 1.0, 0.0) ** p - (low - 1.0 - a) * np.maximum(low, 0.0) ** a
+    b[m == 1] = 2.0 * np.expm1(a * math.log(2.0))
     # The k-th series term at m is below m^(-k) times the first, so 64
     # terms reach 2^-64 from m = 2 on and 16 terms reach 16^-16 from m = 16.
     for sel, terms in (((m >= 2) & (m < 16), 64), (m >= 16, 16)):
@@ -282,19 +284,31 @@ def frac_integral(y: GridFn, a: float) -> GridFn:
     return GridFn(out)
 
 
-def frac_integral_at(v: np.ndarray, a: float, nodes: Sequence[int]) -> np.ndarray:
-    """Rows j of ``frac_integral(y, a)`` for j in nodes, without the full sweep.
+@lru_cache(maxsize=64)
+def _point_weights(a: float, tau: float) -> tuple[np.ndarray, float]:
+    """Weights at the point tau: of y_1..y_ceil(tau), a reversed view of b at m = tau - k, and of y_0."""
+    c = math.ceil(tau)
+    b, w0 = _trapezoid_weights(a, tau - np.arange(c, -1, -1))
+    b[0] = (tau - (c - 1)) ** (a + 1.0)  # (m + 1)^p, exact where m = tau - c rounds (tau < 1/2)
+    b.setflags(write=False)
+    return b[:c][::-1], float(w0[c])
+
+
+def frac_integral_at(v: np.ndarray, a: float, points: Sequence[float]) -> np.ndarray:
+    """The product-trapezoid I^a y at real points tau in [0, N], t = tau/N.
 
     v holds y's (..., N+1, dim) node samples, over any leading stack axes.
-    Row j is one product of the reversed weights with y_1..y_j, O(N) per
-    node and component; returns an array of shape (..., len(nodes), dim).
+    The rule integrates y's linear interpolant exactly at any tau:
+        (h^a / Gamma(a+2)) * [ sum_{k=1}^{ceil(tau)} b_(tau-k) y_k + w0_tau y_0 ],
+    so a node j reads row j of ``frac_integral(y, a)``.  O(N) per point and
+    component, weights cached per (a, tau); shape (..., len(points), dim).
     """
     _check_integration_order(a)
     n = v.shape[-2] - 1
-    if any(not 0 <= j <= n for j in nodes):
-        raise ValueError(f"nodes must lie in [0, {n}], got {list(nodes)}")
-    b, w0, _ = _product_trapezoid_weights(a, n)
-    rows = [b[:j][::-1] @ v[..., 1 : j + 1, :] + w0[j] * v[..., 0, :] for j in nodes]
+    if any(not 0 <= tau <= n for tau in points):
+        raise ValueError(f"points must lie in [0, {n}], got {list(points)}")
+    weights = [_point_weights(a, float(tau)) for tau in points]
+    rows = [b @ v[..., 1 : b.shape[0] + 1, :] + w0 * v[..., 0, :] for b, w0 in weights]
     scale = (1.0 / n) ** a / gamma(a + 2.0)
     return scale * np.stack(rows, axis=-2)
 

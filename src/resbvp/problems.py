@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .conditions import GrowthSpec, KernelSignProbe, probe_kernel_sign
-from .fracops import GridFn, Order, frac_integral_at, gamma
-from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback, boundary_functional
+from .fracops import GridFn, Order, gamma
+from .resonance import DomainElement, ProblemSpec, ResonanceData, RhsCallback, _integral_at_xi_and_one, boundary_functional
 from .solver import apply_rhs
 
 __all__ = [
@@ -198,7 +198,7 @@ def verify_section4(spec: ProblemSpec, rdata: ResonanceData, seed: int = 0) -> S
     e[2] = sigma
     w = apply_rhs(spec, DomainElement(e, GridFn.zeros(grid_n, spec.dim))).values
     # Component-3 beta moments at xi and 1, solved for the recorded d-constants.
-    dhat_quad, dtil_quad = gamma(alpha) * frac_integral_at(w, alpha, (spec.xi_node, grid_n))[:, 2] / (0.1 * sigma / 4.0)
+    dhat_quad, dtil_quad = gamma(alpha) * _integral_at_xi_and_one(w, spec)[:, 2] / (0.1 * sigma / 4.0)
     dhat = math.pi / 128.0 + sq_pi / 24.0
     dtil = math.pi / 8.0 + sq_pi / 3.0
     checks.append(GoldenCheck("dhat_quadrature", dhat_quad, dhat, 1e-6))

@@ -1,6 +1,6 @@
 """Resonance decomposition for the three-point boundary condition.
 
-The problem couples the endpoint to an interior node through a bounded
+The problem couples the endpoint to an interior point through a bounded
 operator A:
 
     D^alpha x = f(t, x, D^(alpha-1) x),
@@ -84,10 +84,6 @@ class NonResonantError(ValueError):
     """The resonance matrix is invertible; the splitting scheme does not apply."""
 
 
-def _on_node(xi: float, grid_n):
-    return np.abs(xi * grid_n - np.rint(xi * grid_n)) <= 1e-9
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """A complete finite-truncation problem instance.
@@ -96,14 +92,10 @@ class ProblemSpec:
     of m points at once: t has shape (m,), u and v have shape (m, n) (row
     j is the point at t[j]), and it must return a finite (m, n) array
     that it does not write again, since ``apply_rhs`` keeps it read-only
-    as N x.  ``a_op`` is kept and marked read-only.  ``grid_n``, an
-    integer, is the number of uniform subintervals.  This is the one
-    grid rule of every problem source: grid_n >= 8 and xi * grid_n
-    within 1e-9 of an integer (``_on_node``), so that xi lands on a grid
-    node.  A grid that breaks it is rejected naming the smallest
-    grid_n >= 8 that passes the same test, scanned up to 10^6 in blocks
-    of 2^16, or saying that none does.  ``dataclasses.replace`` re-checks
-    it.
+    as N x.  ``a_op`` is kept and marked read-only.  ``grid_n``, the
+    number of uniform subintervals, is an integer >= 8: the one grid rule
+    of every problem source, which ``dataclasses.replace`` re-checks.  xi
+    need not be a node; the boundary condition is read at xi itself.
     """
 
     ord: Order
@@ -123,20 +115,11 @@ class ProblemSpec:
         _check_count(self.grid_n, "grid_n")
         if self.grid_n < 8:
             raise ValueError(f"grid_n must be at least 8, got {self.grid_n}")
-        if not _on_node(self.xi, self.grid_n):
-            blocks = (np.arange(s, min(s + 2**16, 10**6 + 1)) for s in range(8, 10**6 + 1, 2**16))
-            valid = next((g[ok][0] for g in blocks if (ok := _on_node(self.xi, g)).any()), None)
-            hint = f"no grid_n up to {10**6} is valid" if valid is None else f"smallest valid grid_n is {valid}"
-            raise ValueError(f"xi = {self.xi} must land on a grid node: grid_n = {self.grid_n} is invalid, {hint}")
         object.__setattr__(self, "a_op", _freeze(a))
 
     @property
     def dim(self) -> int:
         return self.a_op.shape[0]
-
-    @property
-    def xi_node(self) -> int:
-        return int(round(self.xi * self.grid_n))
 
 
 @dataclass(frozen=True)
@@ -271,18 +254,20 @@ def build_resonance(spec: ProblemSpec, tol: float = 0.0) -> ResonanceData:
     )
 
 
-def boundary_functional(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) by product quadrature.
-
-    v holds y's (..., N+1, n) node samples on ``spec``'s grid, N =
-    ``spec.grid_n``, one row h per leading index.  The two kernel
-    integrals are the quadrature's values at nodes ``spec.xi_node`` and N
-    alone, without a full sweep.
-    """
+def _integral_at_xi_and_one(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Rows (I^alpha y)(xi) and (I^alpha y)(1), shape (2, ..., n), of y's
+    (..., N+1, n) samples on ``spec``'s grid: xi is the point xi N, a node
+    or not, read by product quadrature without a full sweep."""
     n = spec.grid_n
     if v.shape[-2:] != (n + 1, spec.dim):
         raise ValueError(f"samples of shape {v.shape} are not on the grid: want (..., {n + 1} nodes, {spec.dim})")
-    at_xi, at_one = np.moveaxis(frac_integral_at(v, spec.ord.alpha, (spec.xi_node, n)), -2, 0)
+    return np.moveaxis(frac_integral_at(v, spec.ord.alpha, (spec.xi * n, n)), -2, 0)
+
+
+def boundary_functional(v: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """h(y) = A (I^alpha y)(xi) - (I^alpha y)(1) of y's (..., N+1, n) samples on
+    ``spec``'s grid, one row h per leading index; xi need not be a node."""
+    at_xi, at_one = _integral_at_xi_and_one(v, spec)
     return np.matmul(spec.a_op, at_xi[..., None])[..., 0] - at_one
 
 

@@ -40,6 +40,7 @@ from .resonance import (
     DomainElement,
     ProblemSpec,
     ResonanceData,
+    _integral_at_xi_and_one,
     boundary_functional,
     evaluate,
     split_obstruction,
@@ -114,10 +115,10 @@ class SolveOptions:
 class ResidualBlock:
     """Measured defects of a candidate solution.
 
-    right_bc_defect is || x(1) - A x(xi) || evaluated on the grid (the
-    left condition I^(2-alpha) x(0) = 0 holds by representation);
-    bc_consistency is its disagreement with the algebraic form
-    || R coef - h(source) || (the two coincide up to rounding).
+    right_bc_defect is || x(1) - A x(xi) || with x read at xi itself, a
+    node or not (the left condition I^(2-alpha) x(0) = 0 holds by
+    representation); bc_consistency is its disagreement with the
+    algebraic form || R coef - h(source) || (equal up to rounding).
     solvability_defect is || (I - R R^+) h(N x) ||, and pde_residual is
     the interior sup-norm of D^alpha x - f(t, x, D^(alpha-1) x) with the
     kernel-power part of x differentiated exactly (it vanishes) and the
@@ -403,18 +404,19 @@ def residuals(spec: ProblemSpec, rdata: ResonanceData, x: DomainElement) -> Resi
     the numerical derivative uses one-sided or near-boundary stencils.
     """
     n = spec.grid_n
-    # One I^alpha sweep of the source serves x, h(source) and D^alpha x.
+    # One I^alpha sweep of the source serves x and D^alpha x.
     ia = frac_integral(x.source, spec.ord.alpha)
     # D^alpha x = D^alpha(coef t^(alpha-1)) + D^alpha I^alpha source; the
     # first term vanishes exactly, the second is re-differentiated.
     dsource = frac_derivative(ia, spec.ord)
-    hy = spec.a_op @ ia.values[spec.xi_node] - ia.values[n]
+    at_xi, at_one = _integral_at_xi_and_one(x.source.values, spec)
+    hy = spec.a_op @ at_xi - at_one
     xv, tv = evaluate(ia.values, cumulative_integral(x.source).values, x.coef, spec.ord)
     del ia  # not held beside w, which is formed next
     w = eval_rhs(spec, x.source.nodes, xv, tv)
     pde = float(np.max(np.linalg.norm(dsource.values[2 : n - 1] - w[2 : n - 1], axis=1)))
     algebraic = float(np.linalg.norm(rdata.matrix @ x.coef - hy))
-    direct = float(np.linalg.norm(xv[n] - spec.a_op @ xv[spec.xi_node]))
+    direct = float(np.linalg.norm(x.coef + at_one - spec.a_op @ (spec.xi**spec.ord.alpha_m1 * x.coef + at_xi)))
     solvability = float(np.linalg.norm(rdata.offrange_proj @ boundary_functional(w, spec)))
     return ResidualBlock(
         pde_residual=pde,

@@ -218,7 +218,7 @@ def test_c06a_golden_constants_quadrature(sec4_4096):
     )
     iv = frac_integral(w, 1.5).values
     ga = gamma(1.5)
-    dhat_quad = ga * iv[spec.xi_node][2] / (0.1 * 2.0 / 4.0)
+    dhat_quad = ga * iv[4096 // 4][2] / (0.1 * 2.0 / 4.0)
     dtil_quad = ga * iv[4096][2] / (0.1 * 2.0 / 4.0)
     dhat_resid = abs(dhat_quad - (math.pi / 128.0 + SQRT_PI / 24.0))
     dtil_resid = abs(dtil_quad - (math.pi / 8.0 + SQRT_PI / 3.0))

@@ -104,8 +104,8 @@ class TestVerifyExampleFlow:
                 monkeypatch.setattr(module, "build_resonance", counting_resonance)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[problem]\ngrid_n = 512\n[operator]\nbuiltin = section4\n")
-        cfg10 = tmp_path / "p10.cfg"
-        cfg10.write_text("[problem]\ngrid_n = 10\n[operator]\nbuiltin = section4\n")
+        cfg7 = tmp_path / "p7.cfg"
+        cfg7.write_text("[problem]\ngrid_n = 7\n[operator]\nbuiltin = section4\n")
         builtin = ["--builtin", "section4", "--grid", "512"]
         for args in (
             ["verify-example", "--grid", "512"],
@@ -113,7 +113,7 @@ class TestVerifyExampleFlow:
             ["analyze", *builtin],
             ["check-hypotheses", *builtin],
             ["solve", "--config", str(cfg)],
-            ["solve", "--config", str(cfg10), "--grid", "512"],
+            ["solve", "--config", str(cfg7), "--grid", "512"],
         ):
             grids.clear()
             resonance_builds.clear()
@@ -425,15 +425,6 @@ class TestConfigFiles:
             "[problem]\nalpha = 2.5\nxi = 0.5\ngrid_n = 64\n[operator]\ncsv = a.csv\n",
         )
         with pytest.raises(ValueError, match="alpha"):
-            parse_config(str(path))
-
-    def test_xi_off_grid_reports_smallest_valid(self, tmp_path):
-        save_matrix_csv(tmp_path / "a.csv", np.eye(2))
-        path = self.write_config(
-            tmp_path,
-            "[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n",
-        )
-        with pytest.raises(ValueError, match="smallest valid grid_n is 10"):
             parse_config(str(path))
 
     # A minimal valid config of each problem kind, and one value for each known key.
@@ -853,16 +844,11 @@ class TestExitCodes:
             ),
             ("[operator]\nbuiltin = section4\nk = 0\n", 3),
             ("[problem]\ngrid_n = 4\n[operator]\nbuiltin = section4\n", 2),
-            ("[problem]\ngrid_n = 66\n[operator]\nbuiltin = section4\n", 2),
-            ("[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
-            ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 3),
             ("[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = r.csv\n", 5),
-            ("[problem]\nalpha = 1.5\nxi = 0.123456789\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 4),
         ],
         ids=["alpha-range", "xi-range", "builtin-alpha", "builtin-xi", "builtin-alpha-nan",
              "builtin-xi-nan", "g-profile", "c-shape", "d-shape", "k-non-positive", "grid-below-8",
-             "builtin-xi-off-grid", "csv-xi-off-grid", "xi-off-default-grid", "non-square-operator",
-             "xi-on-no-grid"],
+             "non-square-operator"],
     )
     def test_value_error_exits_three_with_line(self, tmp_path, text, line):
         save_matrix_csv(tmp_path / "a.csv", np.diag([1.5, 1.75, 2.0]))
@@ -874,6 +860,27 @@ class TestExitCodes:
         code = run_cli(["analyze", "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert f"p.cfg:{line}: " in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "text, xi",
+        [
+            ("[problem]\ngrid_n = 66\n[operator]\nbuiltin = section4\n", None),
+            ("[problem]\nalpha = 1.5\nxi = 0.2\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 0.2),
+            ("[problem]\nalpha = 1.5\nxi = 0.3\n[operator]\ncsv = a.csv\n", 0.3),
+            ("[problem]\nalpha = 1.5\nxi = 0.123456789\ngrid_n = 64\n[operator]\ncsv = a.csv\n", 0.123456789),
+        ],
+        ids=["builtin-xi-off-grid", "csv-xi-off-grid", "xi-off-default-grid", "xi-on-no-grid"],
+    )
+    def test_xi_between_nodes_exits_zero(self, tmp_path, text, xi):
+        # xi need not be a grid node.  A = xi^(1-alpha) diag(1, 1/2, 1/4)
+        # keeps R = I - xi^(alpha-1) A singular at the file's xi.
+        if xi is not None:
+            save_matrix_csv(tmp_path / "a.csv", xi**-0.5 * np.diag([1.0, 0.5, 0.25]))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        assert run_cli(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "kernel dimension         : 1" in (out / "report.txt").read_text()
 
 
     @pytest.mark.parametrize("target", ["out-is-a-file", "report-is-a-directory"])
@@ -888,9 +895,6 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-GRID_ERROR = "xi = 0.25 must land on a grid node: grid_n = 10 is invalid, smallest valid grid_n is 8"
-
-
 class TestOneGridRule:
     """ProblemSpec alone decides which (xi, grid_n) are valid; every
     problem source reports its verdict with the same text."""
@@ -898,20 +902,20 @@ class TestOneGridRule:
     @pytest.mark.parametrize(
         "args, cfg_text, line",
         [
-            (["solve", "--builtin", "section4", "--grid", "10"], None, None),
-            (["solve", "--config", "{cfg}", "--grid", "10"], "[operator]\nbuiltin = section4\n", None),
-            (["solve", "--config", "{cfg}"], "[problem]\ngrid_n = 10\n[operator]\nbuiltin = section4\n", 2),
+            (["solve", "--builtin", "section4", "--grid", "7"], None, None),
+            (["solve", "--config", "{cfg}", "--grid", "7"], "[operator]\nbuiltin = section4\n", None),
+            (["solve", "--config", "{cfg}"], "[problem]\ngrid_n = 7\n[operator]\nbuiltin = section4\n", 2),
             (
                 ["solve", "--config", "{cfg}"],
-                "[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 10\n[operator]\ncsv = a.csv\n",
+                "[problem]\nalpha = 1.5\nxi = 0.25\ngrid_n = 7\n[operator]\ncsv = a.csv\n",
                 4,
             ),
             (
-                ["solve", "--config", "{cfg}", "--grid", "10"],
+                ["solve", "--config", "{cfg}", "--grid", "7"],
                 "[problem]\nalpha = 1.5\nxi = 0.25\n[operator]\ncsv = a.csv\n",
                 None,
             ),
-            (["verify-example", "--grid", "10"], None, None),
+            (["verify-example", "--grid", "7"], None, None),
         ],
         ids=["builtin", "builtin-config-grid-flag", "builtin-config", "csv-config",
              "csv-config-grid-flag", "verify-example"],
@@ -925,16 +929,16 @@ class TestOneGridRule:
         code = run_cli([a.format(cfg=cfg) for a in args] + ["--out", str(out)])
         assert code == 3
         prefix = "" if line is None else f"{cfg}:{line}: "
-        assert (out / "report.txt").read_text().splitlines()[-1] == f"error: {prefix}{GRID_ERROR}"
+        assert (out / "report.txt").read_text().splitlines()[-1] == f"error: {prefix}grid_n must be at least 8, got 7"
         assert not (out / "solution.csv").exists()
 
     def test_library_raises_the_same_text(self):
         with pytest.raises(ValueError) as exc:
-            build_section4(1, 10)
-        assert str(exc.value) == GRID_ERROR
+            build_section4(1, 7)
+        assert str(exc.value) == "grid_n must be at least 8, got 7"
         with pytest.raises(ValueError) as exc:
-            ProblemSpec(Order(1.5), 0.25, np.eye(3), lambda t, u, v: u, 10)
-        assert str(exc.value) == GRID_ERROR
+            ProblemSpec(Order(1.5), 0.25, np.eye(3), lambda t, u, v: u, 7)
+        assert str(exc.value) == "grid_n must be at least 8, got 7"
 
     @pytest.mark.parametrize("grid_n", [4, 7])
     def test_grids_below_eight_rejected(self, grid_n):
@@ -982,7 +986,7 @@ class TestBuiltinAndConfigAgree:
             assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
         # --grid replaces the file's grid_n, which alone would fail the grid rule.
         c = tmp_path / "flag"
-        cfg.write_text(cfg.read_text().replace("grid_n = 256", "grid_n = 10"))
+        cfg.write_text(cfg.read_text().replace("grid_n = 256", "grid_n = 7"))
         assert run_cli([command, "--config", str(cfg), "--grid", "256", "--out", str(c)]) == 0
         for name in ["report.txt", "solution.csv"] if command == "solve" else ["report.txt"]:
             assert (b / name).read_bytes() == (c / name).read_bytes()

@@ -81,6 +81,27 @@ def test_cli_pads_no_report_label_by_hand():
     assert not _hand_padded(Path(resbvp.cli.__file__).read_text(encoding="utf-8"))
 
 
+def _point_rule_callers(source: str) -> int:
+    """Calls of ``frac_integral_at`` in ``source``, by name or through a module."""
+    return sum(
+        isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "frac_integral_at"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_resonance_knows_where_xi_sits():
+    # resonance reads the boundary condition at xi through its one helper;
+    # no other layer evaluates the quadrature at a point or names a node of xi.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in Path(resbvp.__file__).parent.rglob("*.py")}
+    assert [name for name, text in sorted(sources.items()) if _point_rule_callers(text)] == ["resonance.py"]
+    assert not [name for name, text in sources.items() if "xi_node" in text]
+
+
+def test_point_rule_call_is_caught():
+    source = "from . import fracops\nfracops.frac_integral_at(v, a, (1.0,))\nfrac_integral_at(v, a, (2.0,))\n"
+    assert _point_rule_callers(source) == 2
+
+
 def test_hand_padded_label_is_caught():
     source = 'lines = [f"rank                     : {rdata.rank}", f"{label:<{w}} : {text}"]\n'
     assert _hand_padded(source) == ["rank                     : "]

@@ -110,10 +110,15 @@ class TestFracIntegral:
         n = 64
         t = _nodes(n)
         y = GridFn(2.0 * t + 1.0)
+        # Off the nodes too: tau = N t anywhere in [0, N].
+        taus = [0.0, 1e-9, 0.3, 1.0, 1.7, 2.5, 15.5, 31.999, 63.25, 64.0]
+        s = np.array(taus) / n
         for a in (0.5, 1.0, 1.5):
             exact = 2.0 * power_rule(1.0, a) * t ** (1.0 + a) + power_rule(0.0, a) * t**a
             out = frac_integral(y, a)
             assert np.abs(out.values.ravel() - exact).max() <= 1e-13
+            exact = 2.0 * power_rule(1.0, a) * s ** (1.0 + a) + power_rule(0.0, a) * s**a
+            assert np.abs(frac_integral_at(y.values, a, taus).ravel() - exact).max() <= 1e-13
 
     def test_sqrt_convergence_rate_and_final_error(self):
         # y = t^(1/2), exact I^(3/2) y = (sqrt(pi)/4) t^2.  The rate is
@@ -162,8 +167,11 @@ class TestFracIntegral:
             frac_integral_at(y.values, 1.5, [9])
 
 
-# Weight indices m in 1..32, 2^k and 2^k - 1 up to k = 20 (N = 2^20).
-WEIGHT_INDICES = sorted(set(range(1, 33)) | {2**k for k in range(21)} | {2**k - 1 for k in range(1, 21)})
+# Weight indices m in 1..32, 2^k and 2^k - 1 up to k = 20 (N = 2^20), and
+# real m between them, as the point rule reads off the nodes.
+WEIGHT_INDICES = sorted(
+    set(range(1, 33)) | {2**k for k in range(21)} | {2**k - 1 for k in range(1, 21)} | {0.3, 1.7, 2.5, 15.5, 1000.25}
+)
 
 
 class TestQuadratureWeights:
@@ -177,8 +185,9 @@ class TestQuadratureWeights:
             p = am + 1
             for i, m in enumerate(WEIGHT_INDICES):
                 m = mp.mpf(m)
-                ref_b = (m + 1) ** p - 2 * m**p + (m - 1) ** p
-                ref_w0 = (m - 1) ** p - (m - 1 - am) * m**am
+                below = max(m - 1, 0) ** p  # (m - 1)_+^p
+                ref_b = (m + 1) ** p - 2 * m**p + below
+                ref_w0 = below - (m - 1 - am) * m**am
                 worst_b = max(worst_b, float(abs((mp.mpf(b[i]) - ref_b) / ref_b)))
                 worst_w0 = max(worst_w0, float(abs((mp.mpf(w0[i]) - ref_w0) / ref_w0)))
         assert worst_b <= 1e-14

@@ -106,8 +106,6 @@ class TestBuildSection4:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             build_section4(0)
-        with pytest.raises(ValueError):
-            build_section4(1, 50)  # xi = 1/4 off-grid
 
 
 def verify(k, grid_n):

@@ -172,7 +172,7 @@ class TestReportLayout:
             ("analyze", _non_resonant_source, [], 1),
             ("solve", _section4_source, ["--k", "8", "--max-iter", "1"], 2),
             ("analyze", _section4_source, ["--seed", "-1"], 3),
-            ("analyze", lambda tmp_path: ["--builtin", "section4", "--grid", "30"], [], 3),
+            ("analyze", lambda tmp_path: ["--builtin", "section4", "--grid", "7"], [], 3),
         ],
         ids=["analyze", "hyp", "solve", "verify", "exit1-non-resonant", "exit2-max-iter", "exit3-seed", "exit3-grid"],
     )

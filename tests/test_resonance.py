@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resbvp.resonance
@@ -29,6 +29,7 @@ from resbvp import (
     gamma,
     partial_inverse,
     pinv,
+    power_rule,
     project_kernel,
     project_obstruction,
     split_obstruction,
@@ -95,75 +96,9 @@ class TestBuildResonance:
         assert rd.rank_ambiguous
         assert rd.dim_ker == 2
 
-    def test_xi_off_grid_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            ProblemSpec(Order(1.5), 0.25, np.eye(3), zero_rhs, 50)
-
     def test_empty_operator_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             ProblemSpec(Order(1.5), 0.25, np.zeros((0, 0)), zero_rhs, 64)
-
-
-def _suggested_grid(xi: float, grid_n: int) -> int | None:
-    """The grid_n named when ProblemSpec rejects (xi, grid_n), or None when the
-    text says none up to 10^6 is valid; an accepted pair is no example."""
-    try:
-        ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, grid_n)
-    except ValueError as exc:
-        text = str(exc)
-    else:
-        assume(False)
-    head = f"xi = {xi} must land on a grid node: grid_n = {grid_n} is invalid, "
-    assert text.startswith(head)
-    if text == head + "no grid_n up to 1000000 is valid":
-        return None
-    return int(text.removeprefix(head + "smallest valid grid_n is "))
-
-
-def _first_node_grid(xi: float) -> int | None:
-    """The smallest grid_n in [8, 10^6] with xi * grid_n within 1e-9 of an integer, by a direct scan."""
-    for start in range(8, 10**6 + 1, 10**5):
-        grids = np.arange(start, min(start + 10**5, 10**6 + 1))
-        hits = grids[np.abs(xi * grids - np.round(xi * grids)) <= 1e-9]
-        if hits.size:
-            return int(hits[0])
-    return None
-
-
-def _check_suggestion(xi: float, grid_n: int) -> int | None:
-    """A rejection names the smallest grid the rule accepts, or says that none up to 10^6 passes."""
-    suggested = _suggested_grid(xi, grid_n)
-    # The direct scan finds no valid grid in [8, suggested), or none at all.
-    assert suggested == _first_node_grid(xi)
-    if suggested is not None:
-        assert ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, suggested).grid_n == suggested
-        for below in (8, suggested - 1):
-            if 8 <= below < suggested:
-                with pytest.raises(ValueError, match=f"grid_n = {below} is invalid, smallest valid grid_n is {suggested}$"):
-                    ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, below)
-    return suggested
-
-
-class TestGridSuggestion:
-    """The grid a rejection suggests passes the same node test that rejected."""
-
-    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(8, 4096))
-    @example(0.123456789, 64)
-    @example(0.2500001, 64)
-    @example(1 / math.sqrt(2), 64)
-    @example(0.25, 10)
-    @settings(max_examples=60, deadline=None)
-    def test_float_xi(self, xi, grid_n):
-        _check_suggestion(xi, grid_n)
-
-    @given(st.integers(2, 10**4).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))), st.integers(8, 4096))
-    @example((1, 7), 64)
-    @example((999, 1000), 64)
-    @settings(max_examples=100, deadline=None)
-    def test_rational_xi_keeps_the_smallest_multiple_of_q(self, pq, grid_n):
-        p, q = pq
-        d = q // math.gcd(p, q)  # the reduced denominator
-        assert _check_suggestion(p / q, grid_n) == d * math.ceil(8 / d)
 
 
 class TestBoundaryFunctional:
@@ -191,6 +126,23 @@ class TestBoundaryFunctional:
             grid_val = boundary_functional(GridFn(p.sample(np.linspace(0, 1, n + 1))).values, spec)
             errs[n] = np.abs(grid_val - exact).max()
         assert errs[1024] < errs[256] / 4.0
+
+    def test_orders_between_nodes_match_the_node_case(self):
+        # (I^(3/2) y)(xi) of y = t^(1/2) + t^2 converges at the singular-data
+        # rate, 1.48-1.49 per doubling over N = 256..4096, at xi = 1/4 (a
+        # node) and at xi = 0.3 and 1/sqrt(2) (between nodes) alike.
+        grids = (256, 512, 1024, 2048, 4096)
+        orders = {}
+        for xi in (0.25, 0.3, 1 / math.sqrt(2)):
+            exact = power_rule(0.5, 1.5) * xi**2 + power_rule(2.0, 1.5) * xi**3.5
+            errs = []
+            for n in grids:
+                t = np.linspace(0.0, 1.0, n + 1)
+                spec = ProblemSpec(Order(1.5), xi, np.eye(1), zero_rhs, n)
+                errs.append(abs(resbvp.resonance._integral_at_xi_and_one((np.sqrt(t) + t**2)[:, None], spec)[0, 0] - exact))
+            orders[xi] = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(orders[0.25] >= 1.45)
+        assert all(np.abs(o - orders[0.25]).max() <= 0.05 for o in orders.values())
 
     def test_kernel_feedback_first_component(self):
         # y = N(e t^(1/2)) with e = 2 eps_3 locks the switched branch
@@ -223,20 +175,43 @@ class TestBoundaryFunctional:
         spec = build_section4(1, n)
         y = GridFn(np.random.default_rng(n).standard_normal((n + 1, 3)))
         full = frac_integral(y, spec.ord.alpha).values
-        from_sweep = spec.a_op @ full[spec.xi_node] - full[n]
+        from_sweep = spec.a_op @ full[n // 4] - full[n]
         h = boundary_functional(y.values, spec)
         assert np.abs(h - from_sweep).max() <= 1e-14 * np.abs(full).max()
+
+    # Below xi = 1e-100 or so xi^alpha nears the subnormals, where no float is relatively exact.
+    @given(
+        st.floats(1e-100, 1.0, exclude_max=True),
+        st.integers(8, 4096),
+        st.sampled_from([1.01, 1.5, 2.0]),
+    )
+    @example(1e-12, 64, 1.5)
+    @example(1.0 - 1e-12, 64, 1.5)
+    @example(1 / math.sqrt(2), 64, 1.5)
+    @settings(max_examples=60, deadline=None)
+    def test_linear_data_exact_at_any_xi(self, xi, grid_n, alpha):
+        # The product-trapezoid rule integrates linear data exactly at any
+        # point, so I^alpha y at xi and at 1 is the beta integral of y, xi
+        # a node or not: xi near 0 or 1 is not moved onto node 0 or N.
+        # The last component vanishes at t = 0: for xi below 1/N its value is y_1's weight alone.
+        spec = ProblemSpec(Order(alpha), xi, np.eye(3), zero_rhs, grid_n)
+        t = np.linspace(0.0, 1.0, grid_n + 1)
+        c0, c1 = np.array([1.0, 3.0, 0.0]), np.array([2.0, -1.0, 1.0])
+        rows = resbvp.resonance._integral_at_xi_and_one(c0 + np.outer(t, c1), spec)
+        for row, s in zip(rows, (xi, 1.0)):
+            exact = c0 * power_rule(0.0, alpha) * s**alpha + c1 * power_rule(1.0, alpha) * s ** (alpha + 1.0)
+            assert np.all(np.abs(row - exact) <= 1e-13 * np.abs(exact)), (row, exact)
 
     @pytest.mark.parametrize("make_spec", STACK_SPECS.values(), ids=STACK_SPECS.keys())
     def test_stack_equals_per_element_calls(self, make_spec):
         spec = make_spec()
         n = spec.grid_n
         stack = np.random.default_rng(5).standard_normal((2, 3, n + 1, spec.dim))
-        at = frac_integral_at(stack, spec.ord.alpha, (spec.xi_node, n))
+        at = frac_integral_at(stack, spec.ord.alpha, (spec.xi * n, n))
         h = boundary_functional(stack, spec)
         assert at.shape == (2, 3, 2, spec.dim) and h.shape == (2, 3, spec.dim)
         for i in np.ndindex(2, 3):
-            np.testing.assert_array_equal(at[i], frac_integral_at(stack[i], spec.ord.alpha, (spec.xi_node, n)))
+            np.testing.assert_array_equal(at[i], frac_integral_at(stack[i], spec.ord.alpha, (spec.xi * n, n)))
             np.testing.assert_array_equal(h[i], boundary_functional(stack[i], spec))
 
 

@@ -209,6 +209,18 @@ class TestSolve:
         assert r.solvability_defect <= 1e-6
         assert r.pde_residual <= 1e-2
 
+    @pytest.mark.parametrize("xi", [0.3, 1 / math.sqrt(2)], ids=["0.3", "1-over-sqrt2"])
+    def test_affine_solve_with_xi_between_nodes(self, xi, tmp_path):
+        # A' = A (1/4 / xi)^(alpha-1) keeps the seed-0 affine problem's R at an
+        # xi that is no node of its N = 1024 grid.
+        workloads = load_benchmark_module("workloads")
+        workloads.write_affine_inputs(0, tmp_path)
+        spec, _, _ = parse_config(str(tmp_path / workloads.AFFINE_CONFIG))
+        spec = dataclasses.replace(spec, xi=xi, a_op=spec.a_op * (0.25 / xi) ** spec.ord.alpha_m1)
+        report = solve(spec, build_resonance(spec))
+        assert report.converged
+        assert report.residuals.right_bc_defect <= SolveOptions().tol_residual
+
     def test_deterministic(self, sec4_spec, sec4_rdata):
         r1 = solve(sec4_spec, sec4_rdata)
         r2 = solve(sec4_spec, sec4_rdata)
