@@ -25,6 +25,10 @@ binomial series in 1/m whose cancelling leading terms drop out
 analytically, so they keep full relative precision where the direct
 differences lose about m^2 of it.
 
+``derivative_of_integral`` reads D^alpha I^alpha y as one convolution
+per component with the two rules' composite kernel, in which the h^-2
+of ``frac_derivative``'s second difference cancels exactly.
+
 Power functions c * t^beta are never sampled; they travel as exact
 ``PowerFn`` values and are integrated through the Euler beta integral
 (``power_rule``).  In particular integrable singularities such as
@@ -55,6 +59,7 @@ __all__ = [
     "frac_integral_at",
     "frac_integral_power",
     "frac_derivative",
+    "derivative_of_integral",
     "cumulative_integral",
 ]
 
@@ -195,7 +200,7 @@ class PowerFn:
 
 
 def _trapezoid_weights(a: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights b_m and w0_m of ``_product_trapezoid_weights`` at real m > -1.
+    """The weights b_m and w0_m of ``_grid_weights`` at real m > -1.
 
     With p = a + 1, below m = 2 they are its direct differences, powers
     of negative numbers read as 0, and b_1 = 2 expm1(a ln 2).  From m = 2
@@ -233,20 +238,29 @@ def _fft_size(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _product_trapezoid_weights(a: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convolution kernel b, first-node corrections w0 and the spectrum of b for I^a.
+def _grid_weights(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution kernel b and first-node corrections w0 for I^a on n subintervals.
 
     At node j the rule reads
         (h^a / Gamma(a+2)) * [ sum_{k=1}^{j} b_{j-k} y_k + w0_j y_0 ],
     b_0 = 1,  b_m = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1),
     w0_j = (j-1)^(a+1) - (j-1-a) j^a,
-    evaluated by ``_trapezoid_weights``.  The spectrum is the rfft of
-    b_0..b_(n-1) at length ``_fft_size(n)``.
+    evaluated by ``_trapezoid_weights``.  Cached apart from the spectrum,
+    so that reading the rule at a node transforms nothing.
     """
     b, w0 = _trapezoid_weights(a, np.arange(n + 1))
-    b_hat = np.fft.rfft(b[:n], _fft_size(n))
-    for arr in (b, w0, b_hat):
+    for arr in (b, w0):
         arr.setflags(write=False)
+    return b, w0
+
+
+@lru_cache(maxsize=64)
+def _product_trapezoid_weights(a: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_grid_weights`` b and w0, and the spectrum of b: its rfft of
+    b_0..b_(n-1) at length ``_fft_size(n)``."""
+    b, w0 = _grid_weights(a, n)
+    b_hat = np.fft.rfft(b[:n], _fft_size(n))
+    b_hat.setflags(write=False)
     return b, w0, b_hat
 
 
@@ -294,6 +308,14 @@ def _point_weights(a: float, tau: float) -> tuple[np.ndarray, float]:
     return b[:c][::-1], float(w0[c])
 
 
+def _weights_at(a: float, n: int, tau: float) -> tuple[np.ndarray, float]:
+    """``_point_weights(a, tau)``, read off ``_grid_weights`` where tau is a node."""
+    if not tau.is_integer():
+        return _point_weights(a, tau)
+    b, w0 = _grid_weights(a, n)
+    return b[: int(tau)][::-1], float(w0[int(tau)])
+
+
 def frac_integral_at(v: np.ndarray, a: float, points: Sequence[float]) -> np.ndarray:
     """The product-trapezoid I^a y at real points tau in [0, N], t = tau/N.
 
@@ -301,13 +323,14 @@ def frac_integral_at(v: np.ndarray, a: float, points: Sequence[float]) -> np.nda
     The rule integrates y's linear interpolant exactly at any tau:
         (h^a / Gamma(a+2)) * [ sum_{k=1}^{ceil(tau)} b_(tau-k) y_k + w0_tau y_0 ],
     so a node j reads row j of ``frac_integral(y, a)``.  O(N) per point and
-    component, weights cached per (a, tau); shape (..., len(points), dim).
+    component; a node reads the grid's cached weights, any other tau its
+    own, cached per (a, tau).  Shape (..., len(points), dim).
     """
     _check_integration_order(a)
     n = v.shape[-2] - 1
     if any(not 0 <= tau <= n for tau in points):
         raise ValueError(f"points must lie in [0, {n}], got {list(points)}")
-    weights = [_point_weights(a, float(tau)) for tau in points]
+    weights = [_weights_at(a, n, float(tau)) for tau in points]
     rows = [b @ v[..., 1 : b.shape[0] + 1, :] + w0 * v[..., 0, :] for b, w0 in weights]
     scale = (1.0 / n) ** a / gamma(a + 2.0)
     return scale * np.stack(rows, axis=-2)
@@ -328,7 +351,9 @@ def frac_derivative(x: GridFn, ord: Order) -> GridFn:
     definition D^alpha = (d/dt)^2 I^(2-alpha) taken literally on the
     grid.  The two endpoint nodes use one-sided, lower-accuracy stencils;
     callers that need full accuracy exclude them.  Intended for residual
-    verification; solver internals never differentiate numerically.
+    verification: ``residuals`` is its only production caller, as the
+    round trip of ``frac_integral`` is ``derivative_of_integral``.
+    Solver internals never differentiate numerically.
     """
     n = x.n_intervals
     if n < 4:
@@ -343,6 +368,48 @@ def frac_derivative(x: GridFn, ord: Order) -> GridFn:
     d[n] = 2.0 * iv[n] - 5.0 * iv[n - 1] + 4.0 * iv[n - 2] - iv[n - 3]
     d /= x.step**2
     return GridFn(d)
+
+
+@lru_cache(maxsize=64)
+def _roundtrip_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of kappa and the vector g of ``derivative_of_integral``, both
+    divided by Gamma(alpha+2) Gamma(4-alpha).
+
+    The second differences of b_alpha and of W_alpha = sum_(k>=1) w0_k z^k
+    are taken first: they decay like m^(alpha-3), so the products with
+    b_(2-alpha) keep the precision a difference of the products would lose.
+    """
+    b, w0 = _grid_weights(alpha, n)
+    size = _fft_size(n)
+    diffs = np.diff(np.stack((b, np.append(0.0, w0[1:]))), 2, prepend=np.zeros((2, 2)))
+    spectra = np.fft.rfft(diffs, size) * _product_trapezoid_weights(2.0 - alpha, n)[2]
+    kappa, g = np.fft.irfft(spectra, size)[:, : n + 1] / (gamma(alpha + 2.0) * gamma(4.0 - alpha))
+    kappa_hat = np.fft.rfft(kappa[:n], size)
+    for arr in (kappa_hat, g):
+        arr.setflags(write=False)
+    return kappa_hat, g
+
+
+def derivative_of_integral(y: GridFn, ord: Order) -> np.ndarray:
+    """Rows 1..N-1 of ``frac_derivative(frac_integral(y, alpha), ord)``, shape (N-1, dim).
+
+    The two product-trapezoid rules compose through their generating
+    functions, and the h^alpha h^(2-alpha) of the rules cancels the
+    second difference's h^-2 exactly:
+        d_j = [(kappa * y'')_j + y_0 g_(j+1)] / (Gamma(alpha+2) Gamma(4-alpha)),
+    with y'' = (y_1..y_N), kappa the first N coefficients of
+    (1-z)^2 B_alpha(z) B_(2-alpha)(z) and g those of (1-z)^2 W_alpha(z)
+    B_(2-alpha)(z), B_a the generating function of b for I^a.  One FFT
+    convolution per component, with kappa's spectrum and g cached per
+    (alpha, N); no rounding passes through a division by h^2.
+    """
+    n = y.n_intervals
+    kappa_hat, g = _roundtrip_weights(ord.alpha, n)
+    size = _fft_size(n)
+    out = np.outer(g[2:], y.values[0])
+    for c in range(y.dim):
+        out[:, c] += np.fft.irfft(np.fft.rfft(y.values[1:, c], size) * kappa_hat, size)[1:n]
+    return out
 
 
 def cumulative_integral(y: GridFn) -> GridFn:

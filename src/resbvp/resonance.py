@@ -52,8 +52,7 @@ from .fracops import (
     PowerFn,
     _check_count,
     _freeze,
-    frac_derivative,
-    frac_integral,
+    derivative_of_integral,
     frac_integral_at,
     gamma,
     power_rule,
@@ -359,11 +358,12 @@ def evaluate(iv: np.ndarray, iy: np.ndarray, coef: np.ndarray, ord: Order) -> tu
 class StructureReport:
     """Residuals of the structural identities behind the splitting.
 
-    All checks report; none throws.  The derivative round trip is
-    grid-limited: ``left_inverse_residual`` covers all nodes except two
-    at each end and saturates at a small N-independent boundary-layer
-    value, while ``left_inverse_window`` (t in [0.1, 0.9]) decays with
-    the grid.  The remaining checks are algebraic or exact-route and sit
+    All checks report; none throws.  The derivative round trip, taken
+    through ``derivative_of_integral``, is grid-limited at every N:
+    ``left_inverse_residual`` covers all nodes except two at each end
+    and saturates at a small N-independent boundary-layer value, while
+    ``left_inverse_window`` (t in [0.1, 0.9]) decays with the grid at
+    order 2.  The remaining checks are algebraic or exact-route and sit
     near rounding error whenever ``ResonanceData.ep_defect`` vanishes.
     """
 
@@ -388,7 +388,8 @@ def verify_structure(
     (c) it annihilates the solvable rest of ``split_obstruction``;
     (d) kernel power elements are fixed up to an ep_defect-sized error;
     (e) differentiating the partial inverse of that rest returns it
-        (numerical derivative, loose grid tolerance).
+        (``derivative_of_integral``: one convolution with the composite
+        kernel of the two quadrature rules, loose grid tolerance).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -406,7 +407,7 @@ def verify_structure(
     left_inv = 0.0
     left_win = 0.0
     t = np.linspace(0.0, 1.0, ngrid + 1)
-    window = slice(max(2, ngrid // 10), min(ngrid - 1, (9 * ngrid) // 10))
+    lo, hi = max(2, ngrid // 10), min(ngrid - 1, (9 * ngrid) // 10)  # the window's nodes
     for _ in range(samples):
         # Smooth random data; the derivative round trip is meaningless on
         # node-wise noise.
@@ -419,10 +420,9 @@ def verify_structure(
         # re-differentiates the I^alpha part: the power part of the partial
         # inverse differentiates to zero exactly.
         on_image = max(on_image, float(np.linalg.norm(rdata.obstruction(h_member))))
-        dx = frac_derivative(frac_integral(member, alpha), spec.ord)
-        res = np.abs(dx.values - member.values)
-        left_inv = max(left_inv, float(res[2 : ngrid - 1].max()))
-        left_win = max(left_win, float(res[window].max()))
+        res = np.abs(derivative_of_integral(member, spec.ord) - member.values[1:ngrid])  # row j-1: node j
+        left_inv = max(left_inv, float(res[1 : ngrid - 2].max()))
+        left_win = max(left_win, float(res[lo - 1 : hi - 1].max()))
 
     kernel_fix = 0.0
     for _ in range(samples):

@@ -10,6 +10,7 @@ from resbvp import (
     Order,
     PowerFn,
     cumulative_integral,
+    derivative_of_integral,
     frac_derivative,
     frac_integral,
     frac_integral_at,
@@ -17,7 +18,16 @@ from resbvp import (
     gamma,
     power_rule,
 )
-from resbvp.fracops import _fft_size, _product_trapezoid_weights, _trapezoid_weights
+from resbvp.cli import main
+from resbvp.fracops import (
+    _fft_size,
+    _grid_weights,
+    _point_weights,
+    _product_trapezoid_weights,
+    _roundtrip_weights,
+    _trapezoid_weights,
+    _weights_at,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -233,6 +243,16 @@ class TestFFTConvolution:
             assert at.shape == (len(nodes), 3)
             assert np.abs(at - full[nodes]).max() <= 1e-14 * np.abs(full).max()
 
+    @pytest.mark.parametrize("n", [8, 9, 255, 1024])
+    def test_node_weights_are_the_grid_weights(self, n):
+        # At a node the point rule reads the grid's cached b and w0: bit for bit its own weights.
+        for a in (0.1, 0.5, 1.01, 1.5, 1.9, 2.0):
+            for tau in (1, n // 4, n // 2, n):
+                b, w0 = _weights_at(a, n, float(tau))
+                ref_b, ref_w0 = _point_weights.__wrapped__(a, float(tau))
+                assert np.array_equal(b, ref_b) and w0 == ref_w0
+                assert np.shares_memory(b, _grid_weights(a, n)[0])
+
 
 def _every_column_frac_integral(y: np.ndarray, a: float) -> np.ndarray:
     """``frac_integral`` with no column skipped: one FFT convolution per column."""
@@ -285,6 +305,18 @@ class TestZeroColumns:
         frac_integral(GridFn(_sparse_columns(128)), 0.5)
         # The weight spectrum, then columns 0 and 4: column 3 is zero on y_1..y_N.
         assert len(calls) == 3
+
+    def test_two_transforms_per_round_trip_column(self, monkeypatch, tmp_path):
+        # A warm analyze flow transforms only in verify_structure's round trip:
+        # one rfft and one irfft for each of 5 samples x 3 components.
+        args = ["analyze", "--builtin", "section4", "--grid", "256", "--out", str(tmp_path)]
+        assert main(args) == 0
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=transform, **k: calls.append(1) or _f(*a, **k))
+        assert main(args) == 0
+        assert len(calls) == 30
 
 
 class TestFracIntegralPower:
@@ -368,6 +400,57 @@ class TestFracDerivative:
         basis = np.stack([t[interior] ** 0.5, t[interior] ** (-0.5)], axis=1)
         coef, *_ = np.linalg.lstsq(basis, z[interior], rcond=None)
         assert np.abs(basis @ coef - z[interior]).max() <= 1e-3
+
+
+def _longdouble_round_trip(y: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows 1..N-1 of the composed rules, ``frac_derivative(frac_integral(y, alpha))``,
+    summed in long double by direct convolution of the float64 weights."""
+    n = y.shape[0] - 1
+    ld = np.longdouble
+    b, w0 = (w.astype(ld) for w in _product_trapezoid_weights(alpha, n)[:2])
+    b2 = _product_trapezoid_weights(2.0 - alpha, n)[0].astype(ld)
+    out = np.empty((n - 1, y.shape[1]), dtype=ld)
+    for c in range(y.shape[1]):
+        yc = y[:, c].astype(ld)
+        x = np.convolve(b, yc)[: n + 1] - b * yc[0] + w0 * yc[0]
+        x[0] = 0.0
+        v = np.convolve(b2, x)[: n + 1]
+        out[:, c] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    # h^alpha h^(2-alpha) of the two rules cancels the second difference's h^-2.
+    return out / (ld(gamma(alpha + 2.0)) * ld(gamma(4.0 - alpha)))
+
+
+class TestDerivativeOfIntegral:
+    @pytest.mark.parametrize("n, bound", [(256, 1e-12), (2048, 1e-10)])
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0])
+    def test_matches_long_double_composition(self, alpha, n, bound):
+        # At most 1.5e-13 (N = 256) and 1.4e-11 (2048) off here, where
+        # frac_derivative(frac_integral(...)) is 4.7e-11 and 1.7e-9 off at least.
+        t = _nodes(n)
+        c = np.random.default_rng(n).standard_normal((4, 3))
+        y = c[0] + np.outer(t, c[1]) + np.outer(np.sin(3.0 * t), c[2]) + np.outer(np.sqrt(t), c[3])
+        out = derivative_of_integral(GridFn(y), Order(alpha))
+        assert out.shape == (n - 1, 3)
+        assert np.abs(out - _longdouble_round_trip(y, alpha)).max() <= bound
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0])
+    def test_kernel_differences_before_convolving(self, alpha):
+        # Differencing b_alpha and W_alpha first keeps kappa and g within 1e-14
+        # of the long-double composition at N = 2048; differencing the products read 1.8e-12.
+        n, ld = 2048, np.longdouble
+        b, w0, _ = _product_trapezoid_weights(alpha, n)
+        b2 = _product_trapezoid_weights(2.0 - alpha, n)[0].astype(ld)
+        scale = ld(gamma(alpha + 2.0)) * ld(gamma(4.0 - alpha))
+        kappa_hat, g = _roundtrip_weights(alpha, n)
+        for got, w in ((np.fft.irfft(kappa_hat, _fft_size(n))[:n], b[:n]), (g, np.append(0.0, w0[1:]))):
+            ref = np.diff(np.convolve(w.astype(ld), b2)[: got.shape[0]], 2, prepend=np.zeros(2, ld)) / scale
+            assert np.abs(got - ref).max() <= 1e-14
+
+    def test_order_zero_weights_are_the_identity(self):
+        # alpha = 2 composes I^2 with I^0, whose weights b_0 = 1, b_m = 0 leave x unchanged.
+        b, _, b_hat = _product_trapezoid_weights(0.0, 64)
+        assert b[0] == 1.0 and not b[1:].any()
+        assert np.array_equal(b_hat, np.ones_like(b_hat))
 
 
 def _every_column_cumulative_integral(y: np.ndarray) -> np.ndarray:

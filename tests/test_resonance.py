@@ -526,10 +526,19 @@ class TestVerifyStructure:
         assert vals[512] < vals[256]
 
     def test_roundtrip_window_at_fine_grid(self, sec4_rdata):
-        # Rounding-limited at this grid: the second difference divides by
-        # h^2, so weight errors of relative size e show up as e * N^2.
+        # Grid-limited here: the composed kernel divides no rounding by h^2
+        # (1.8e-8 at this grid; the second difference of I^(2-alpha) read 3.2e-7).
         sr = verify_structure(build_section4(1, 16384), sec4_rdata, samples=5, seed=0)
         assert sr.left_inverse_window <= 1e-6
+
+    def test_roundtrip_window_order_on_fine_grids(self, sec4_rdata):
+        # Past N = 16384 the window figure keeps falling at the rule's order 2;
+        # through the h^-2 second difference it rose, 3.2e-7 to 6.2e-6.
+        win = [
+            verify_structure(build_section4(1, n), sec4_rdata, samples=5, seed=0).left_inverse_window
+            for n in (16384, 65536)
+        ]
+        assert np.log2(win[0] / win[1]) / 2.0 >= 1.8
 
     def test_full_resonance_identity_trivial(self):
         xi, alpha = 0.25, 1.5
