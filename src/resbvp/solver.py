@@ -20,7 +20,8 @@ iterate's N x is evaluated once.  Any isomorphism J: Im Q -> Ker L has
 these fixed points, so ``solve`` orients and scales the J of
 ``build_resonance`` by the kernel-block gain it measures at the start
 iterate, which makes the kernel coordinates contract at the damping rate
-(``oriented_lift``).
+(``oriented_lift``).  Since G only sets that rate, it is probed on a
+subgrid of at least 256 intervals, not on the full grid.
 The damped map is accelerated by Anderson mixing rather than replaced by
 Newton: the right-hand sides of interest are nonsmooth (norm-threshold
 switches), so no Jacobian is assumed, and mixing takes its secant
@@ -66,6 +67,8 @@ _GAIN_STEP = 1e-6
 # Rounding level of a row of the probed gain: this many ulps of the rhs values its
 # kernel direction sees, per secant step.
 _GAIN_NOISE_ULPS = 1e3
+# The kernel-gain probe's subgrid keeps at least this many intervals.
+_GAIN_INTERVALS = 256
 # Values (rows x dim) of one stacked rhs call of ``rhs_functionals`` (at least one element):
 # 21 elements at N = 256, n = 3.  2^14 is the largest power of two that leaves a cold
 # check-hypotheses flow's peak RSS (N = 256) within 0.3 MB of its value at 3072: five fresh
@@ -138,7 +141,7 @@ class ResidualBlock:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of ``solve``; ``kernel_gain`` is the G of ``oriented_lift``."""
+    """Outcome of ``solve``; ``kernel_gain`` is the G of ``oriented_lift``, probed on its subgrid."""
 
     converged: bool
     diverged: bool
@@ -236,6 +239,15 @@ def oriented_lift(
     alone, so one I^alpha sweep of x's source (none from a zero source)
     serves all dim_ker: ``evaluate`` samples them as one stack of
     coefficients, and one ``rhs_functionals`` call evaluates them.
+    The secants run on the subgrid of every d-th node, d the largest
+    divisor of N with N/d >= 256 (d = 1, the full grid, when N <= 256 or
+    no larger divisor qualifies): the sweep, the trace and w are
+    subsampled, and h is read at xi itself on the N/d-interval grid, so
+    the rhs work falls by about d.  Any isomorphism J has the same fixed
+    points, so G only sets how fast the kernel coordinates contract, and
+    the solution does not move (section4's subgrid G agrees with the
+    full-grid secants to 1.3e-6 relative at N = 4096).  The noise floor
+    below reads the full-grid w.
     Each row of G is judged against the secant's rounding level in its own
     direction, ``_GAIN_NOISE_ULPS`` ulps of |K^T J kappa (I - R R^+)|
     (|A| + I) max_t |w| per step, so a direction whose rhs values are small
@@ -248,11 +260,14 @@ def oriented_lift(
     seen = (np.abs(spec.a_op) + np.eye(spec.dim)) @ np.max(np.abs(w.values), axis=0)
     row_scale = np.abs(ker.T @ rdata.lift @ (rdata.proj_scale * rdata.offrange_proj)) @ seen
     noise = np.maximum(_GAIN_NOISE_ULPS * np.finfo(float).eps * row_scale / step, np.finfo(float).tiny)
-    iv, iy = frac_integral(x.source, spec.ord.alpha).values, cumulative_integral(x.source).values
+    n = spec.grid_n
+    d = max((d for d in range(1, n // _GAIN_INTERVALS + 1) if n % d == 0), default=1)
+    sub = replace(spec, grid_n=n // d)
+    iv, iy = frac_integral(x.source, spec.ord.alpha).values[::d], cumulative_integral(x.source).values[::d]
     coefs = (x.coef + step * ker.T)[:, None]
-    h = rhs_functionals(spec, rdata.dim_ker, lambda s: evaluate(iv, iy, coefs[s], spec.ord))
+    h = rhs_functionals(sub, rdata.dim_ker, lambda s: evaluate(iv, iy, coefs[s], spec.ord))
     # h is linear, so the secants difference h values.
-    gain = ker.T @ rdata.lift @ rdata.obstruction(h - boundary_functional(w.values, spec)).T / step
+    gain = ker.T @ rdata.lift @ rdata.obstruction(h - boundary_functional(w.values[::d], sub)).T / step
     if np.linalg.svd(gain / noise[:, None], compute_uv=False)[-1] <= 1.0:
         return gain, rdata.lift
     return gain, ker @ np.linalg.solve(-gain, ker.T @ rdata.lift)

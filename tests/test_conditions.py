@@ -504,7 +504,7 @@ class TestBatchedProbes:
             assert calls == [21 * 257] * 4 + [16 * 257]
 
     def test_kernel_gain_secants_share_one_call(self):
-        # dim_ker = 2 secants of 1025 x 6 values each fit in one chunk.
+        # N = 1024 probes every 4th node: dim_ker = 2 secants of 257 x 6 values each fit in one chunk.
         calls = []
         spec = dataclasses.replace(
             make_resonant_spec(np.random.default_rng(4), 6, 2, grid_n=1024),
@@ -515,7 +515,20 @@ class TestBatchedProbes:
         w = apply_rhs(spec, zero)
         calls.clear()
         oriented_lift(spec, rdata, zero, w)
-        assert calls == [2 * 1025]
+        assert calls == [2 * 257]
+
+    def test_kernel_gain_of_solve_s4_is_one_subgrid_call(self):
+        # section4, k = 4, N = 4096: the 4 secants on the 256-interval subgrid
+        # fit one chunk, where full-grid secants of 4097 x 12 values take one call each.
+        spec = build_section4(4, 4096)
+        rdata = build_resonance(spec)
+        calls = []
+        counted = dataclasses.replace(spec, rhs=lambda t, u, v: calls.append(t.size) or spec.rhs(t, u, v))
+        zero = DomainElement.zero(spec.grid_n, spec.dim)
+        w = apply_rhs(spec, zero)
+        calls.clear()
+        oriented_lift(counted, rdata, zero, w)
+        assert calls == [4 * 257]
 
     @pytest.mark.parametrize("probe", [probe_large_trace_defect, probe_kernel_sign])
     def test_probe_memory_stays_under_one_mib(self, probe):

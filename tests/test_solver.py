@@ -419,6 +419,75 @@ class TestOrientedLift:
         assert nonzero == [True]
         np.testing.assert_allclose(gain, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
 
+    @pytest.mark.parametrize(
+        ("grid_n", "rows"), [(64, 65), (256, 257), (300, 301), (512, 257), (1000, 501), (4096, 257)]
+    )
+    def test_gain_is_probed_on_every_dth_node(self, grid_n, rows):
+        # d is the largest divisor of N with N/d >= 256, so d = 1 up to N = 256 and at N = 300.
+        spec = build_section4(2, grid_n)
+        rdata = build_resonance(spec)
+        ts = []
+        counted = dataclasses.replace(spec, rhs=lambda t, u, v: ts.append(t) or spec.rhs(t, u, v))
+        zero = DomainElement.zero(grid_n, spec.dim)
+        oriented_lift(counted, rdata, zero, apply_rhs(spec, zero))
+        [t] = ts
+        np.testing.assert_array_equal(t, np.tile(np.linspace(0.0, 1.0, rows), rdata.dim_ker))
+
+    def test_subgrid_gain_matches_full_grid_secants(self):
+        # N = 4096 probes every 16th node; the full-grid secants below agree to about 1.3e-6.
+        spec = build_section4(2, 4096)
+        rdata = build_resonance(spec)
+        rng = np.random.default_rng(4)
+        x0 = DomainElement(
+            rng.standard_normal(spec.dim), GridFn(rng.standard_normal((spec.grid_n + 1, spec.dim)))
+        )
+        w0 = apply_rhs(spec, x0)
+        step = 1e-6 * max(1.0, float(np.linalg.norm(x0.coef)))
+        h0 = boundary_functional(w0.values, spec)
+        shifts = [
+            boundary_functional(apply_rhs(spec, DomainElement(x0.coef + e, x0.source)).values, spec) - h0
+            for e in step * rdata.kernel.T
+        ]
+        expected = rdata.kernel.T @ rdata.lift @ rdata.obstruction(np.array(shifts)).T / step
+        gain, _ = oriented_lift(spec, rdata, x0, w0)
+        assert np.abs(gain - expected).max() <= 1e-5 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        ("k", "grid_n", "counts"), [(2, 4096, [8, 14, 15, 14]), (8, 1024, [9, 13, 16, 14])]
+    )
+    def test_kernel_start_iteration_counts(self, k, grid_n, counts):
+        # The same counts as with the full-grid probe: G sets the contraction rate only.
+        spec = build_section4(k, grid_n)
+        rdata = build_resonance(spec)
+        taken = []
+        for z0 in (0.5, 2.0, 10.0, -3.0):
+            start = DomainElement(rdata.kernel @ np.full(rdata.dim_ker, z0), GridFn.zeros(grid_n, spec.dim))
+            report = solve(spec, rdata, SolveOptions(max_iter=400, initial=start))
+            assert report.converged, z0
+            taken.append(report.iterations)
+        assert taken == counts
+
+    @pytest.mark.parametrize(("r", "count"), [(0.25, 17), (0.5, 20)])
+    def test_coupled_blocks_iteration_counts(self, r, count):
+        # section4's blocks with every tail component fed by v_1 and feeding f_1:
+        # f_j = (u_j + v_j) / (5 2^(j-1)) + r^(j-1) v_1 / 10 for j >= 2, and
+        # f_1 = section4's switched term + 0.05 sum_{j>=2} r^(j-1) u_j.
+        spec = build_section4(32, 1024)
+        base = spec.rhs
+        j = np.arange(2, spec.dim + 1)
+        tail, feed = 1.0 / (5.0 * 2.0 ** (j - 1)), r ** (j - 1.0)
+
+        def rhs(t, u, v):
+            f = base(t, u, v)
+            f[:, 1:] = (u[:, 1:] + v[:, 1:]) * tail + np.outer(v[:, 0], feed / 10.0)
+            f[:, 0] += 0.05 * (u[:, 1:] @ feed)
+            return f
+
+        spec = dataclasses.replace(spec, rhs=rhs)
+        report = solve(spec, build_resonance(spec), SolveOptions(tol_fixed_point=1e-13))
+        assert report.converged
+        assert report.iterations == count
+
     def test_section4_kernel_starts_reach_zero_start_solution(self, sec4_spec, sec4_rdata):
         # The kernel coordinate settles within a few tol_fixed_point of its
         # limit; the tight tolerance keeps that below the 1e-8 share of the
