@@ -20,8 +20,9 @@ iterate's N x is evaluated once.  Any isomorphism J: Im Q -> Ker L has
 these fixed points, so ``solve`` orients and scales the J of
 ``build_resonance`` by the kernel-block gain it measures at the start
 iterate, which makes the kernel coordinates contract at the damping rate
-(``oriented_lift``).  Since G only sets that rate, it is probed on a
-subgrid of at least 256 intervals, not on the full grid.
+(``oriented_lift``).  Since G only sets that rate, it is probed on the
+coarsest subgrid of at least 256 intervals that N's divisors allow (the
+full grid up to N = 256).
 The damped map is accelerated by Anderson mixing rather than replaced by
 Newton: the right-hand sides of interest are nonsmooth (norm-threshold
 switches), so no Jacobian is assumed, and mixing takes its secant
